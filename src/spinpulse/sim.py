@@ -17,51 +17,57 @@ from .decompose import DecompositionPlan
 from .pulse import Coupling, PulseOp, PulseSequence, Rotation
 
 
-def op_matrix(op: PulseOp, num_spins: int) -> np.ndarray:
-    """Closed-form matrix of one pulse.
+def _exp_sigma(angle: float, sigma: np.ndarray) -> np.ndarray:
+    """exp(-i*angle*sigma/2) for a sigma-string, which squares to E:
+    cos(angle/2)*E - i*sin(angle/2)*sigma."""
+    half = angle / 2
+    return math.cos(half) * np.eye(len(sigma)) - 1j * math.sin(half) * sigma
 
-    A rotation embeds cos(a/2)*E - i*sin(a/2)*sigma_axis at its spin; a
-    coupling is diagonal with entries e^{-i*a/2} where the two bits agree
-    and e^{+i*a/2} where they differ.
-    """
-    dim = 2**num_spins
-    if isinstance(op, Rotation):
-        if op.spin > num_spins:
-            raise ValueError(f"spin {op.spin} out of range 1..{num_spins}")
-        half = op.angle / 2
-        local = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(
-            half
-        ) * pauli.SIGMA[op.axis]
-        return np.kron(
-            np.kron(np.eye(2 ** (op.spin - 1)), local),
-            np.eye(2 ** (num_spins - op.spin)),
-        )
-    if isinstance(op, Coupling):
-        if op.j > num_spins:
-            raise ValueError(f"spin {op.j} out of range 1..{num_spins}")
-        indices = np.arange(dim)
-        bit_i = (indices >> (num_spins - op.i)) & 1
-        bit_j = (indices >> (num_spins - op.j)) & 1
-        signs = np.where(bit_i == bit_j, 1.0, -1.0)
-        return np.diag(np.exp(-1j * op.angle / 2 * signs))
-    raise TypeError(f"unknown pulse op {op!r}")
+
+def op_matrix(op: PulseOp, num_spins: int) -> np.ndarray:
+    """Matrix of one pulse: the one-op sequence through `simulate`."""
+    return simulate(PulseSequence(num_spins, [op]))
 
 
 def simulate(seq: PulseSequence) -> np.ndarray:
     """Product of op matrices, last time step leftmost; empty -> identity.
-    The sequence's global-phase ledger is not applied."""
-    m = np.eye(2**seq.num_spins, dtype=complex)
+    The sequence's global-phase ledger is not applied.
+
+    Each pulse acts on the rows of the running matrix in place; no
+    full-size pulse matrix is built.  A rotation applies
+    cos(a/2)*E - i*sin(a/2)*sigma_axis to the row pairs that differ only in
+    its spin's bit, through a (2**(spin-1), 2, rest) view of the matrix.  A
+    coupling is diagonal, e^{-i*a/2} on rows where the two bits agree and
+    e^{+i*a/2} where they differ, so it scales each row by that phase.
+    """
+    n = seq.num_spins
+    m = np.eye(2**n, dtype=complex)
+    rows = np.arange(2**n)
     for op in seq.ops:
-        m = op_matrix(op, seq.num_spins) @ m
+        if isinstance(op, Rotation):
+            if op.spin > n:
+                raise ValueError(f"spin {op.spin} out of range 1..{n}")
+            pairs = m.reshape(2 ** (op.spin - 1), 2, -1)
+            pairs[:] = _exp_sigma(op.angle, pauli.SIGMA[op.axis]) @ pairs
+        elif isinstance(op, Coupling):
+            if op.j > n:
+                raise ValueError(f"spin {op.j} out of range 1..{n}")
+            differ = ((rows >> (n - op.i)) ^ (rows >> (n - op.j))) & 1
+            m *= np.exp(1j * op.angle / 2 * (2 * differ - 1))[:, None]
+        else:
+            raise TypeError(f"unknown pulse op {op!r}")
     return m
 
 
 def simulate_plan(plan: DecompositionPlan) -> np.ndarray:
     """Product of exp(-i*angle*B) over the plan's single operators, last op
-    leftmost.  The dropped identity weight is not applied."""
+    leftmost.  The dropped identity weight is not applied.
+
+    2B is a sigma-string, so each factor has the closed form of _exp_sigma.
+    """
     m = np.eye(2**plan.num_spins, dtype=complex)
     for op in plan.ops:
-        m = linalg.matrix_exp_hermitian(op.angle * pauli.materialize(op.s)) @ m
+        m = _exp_sigma(op.angle, 2 * pauli.materialize(op.s)) @ m
     return m
 
 
