@@ -53,16 +53,20 @@ class GeneratorExpansion:
         """True iff every pair of terms commutes.
 
         With per-slot bits x = {x, y} and z = {z, y}, two words commute iff
-        sum(x1*z2 + z1*x2) is even.  The T x T parity matrix is symmetric
-        with an even diagonal (twice the y count), so it is zero exactly
-        when every pair i < j commutes.
+        sum(x1*z2 + z1*x2) is even, i.e. iff A = X @ Z^T is symmetric mod 2.
+        Pairwise commuting words span an isotropic subspace of F2^(2n), which
+        holds at most 2**n words, so a longer list fails before the T x T
+        matrix is built (a dense generator has up to 4**n - 1 terms).
         """
         if not self.coeffs:
             return True
+        if len(self.coeffs) > 2**self.num_spins:
+            return False
         axes = np.array([word.axes for word in self.coeffs])
         x = ((axes == "x") | (axes == "y")).astype(np.int64)
         z = ((axes == "z") | (axes == "y")).astype(np.int64)
-        return not np.any((x @ z.T + z @ x.T) % 2)
+        parity = (x @ z.T) % 2
+        return np.array_equal(parity, parity.T)
 
 
 def eigenphase(eigenvalue: complex, branch: BranchConvention) -> float:

@@ -4,6 +4,17 @@ The files under tests/golden/ hold the `format_sequence` text of each case
 as produced before the vectorized expand/extract/simulate kernels replaced
 the recursive and kron-based ones.  Kernel rewrites must keep every byte;
 a change that is meant to alter output updates these files and says why.
+
+The diagonal cases (cphase, fphase, phase_flip_5) never call `eigh`, so
+their bytes do not depend on the numerical library.  The others (cnot,
+toffoli, swap, toffoli_6, haar_2) do: their pulse angles carry the last
+bits of LAPACK's eigenvectors (cnot pins 1.5707963267948963, not ...66),
+and a BLAS build or CPU that picks other kernels can move those bits with
+no defect in this package.  To regenerate on a new platform, check out the
+commit before the kernel rewrite ("Vectorize the expand, extract and
+simulate kernels"), build each target of CASES below with it and write
+`formats.format_sequence(compile_unitary(u, options).sequence)` to
+tests/golden/<name>.seq; then run this test on the current tree.
 """
 
 from pathlib import Path

@@ -92,3 +92,18 @@ def test_all_commuting_matches_pairwise(expansion):
         for j in range(i + 1, len(words))
     )
     assert expansion.all_commuting() == pairwise
+
+
+def test_all_commuting_rejects_dense_generator():
+    # 4**7 - 1 terms; the parity matrix alone would be 16383 x 16383.
+    g = random_hermitian(np.random.default_rng(7), 2**7)
+    expansion = generator.expand(g)
+    assert len(expansion.coeffs) > 2**7
+    assert not expansion.all_commuting()
+
+
+def test_all_commuting_accepts_largest_commuting_set():
+    # Every z-word on 4 spins, identity included: 2**4 words, all commuting.
+    words = [format(k, "04b").replace("1", "z") for k in range(16)]
+    expansion = GeneratorExpansion(4, {PauliString.from_string(w): 1.0 for w in words})
+    assert expansion.all_commuting()
