@@ -92,6 +92,60 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
+def _peel_idle_spins(
+    u: np.ndarray, num_spins: int, tol: float
+) -> tuple[np.ndarray, list[int], float]:
+    """Split u ~= core (x) I over its idle spins.
+
+    A spin is idle when, on the (2**k, 2, rest) row and column view of the
+    current matrix, both off-diagonal blocks and the difference of the two
+    diagonal blocks stay below tol; its upper diagonal block becomes the
+    new, 4x smaller, matrix.  Returns the core, the 0-based spins it acts
+    on in increasing order, and the summed deviations: exp(-i*g_core) (x) I
+    is within that sum of u plus the core's own residual.
+    """
+    core = u
+    active: list[int] = []
+    deviation = 0.0
+    for spin in range(num_spins):
+        k = len(active)  # axis of `spin` in the current core
+        half = core.shape[0] // 2
+        rest = half >> k
+        v = core.reshape(2**k, 2, rest, 2**k, 2, rest)
+        spin_dev = max(np.max(np.abs(v[:, 0, :, :, 1])), np.max(np.abs(v[:, 1, :, :, 0])))
+        if spin_dev < tol:
+            spin_dev = max(spin_dev, np.max(np.abs(v[:, 0, :, :, 0] - v[:, 1, :, :, 1])))
+        if spin_dev < tol:
+            core = v[:, 0, :, :, 0].reshape(half, half)
+            deviation += float(spin_dev)
+        else:
+            active.append(spin)
+    return core, active, deviation
+
+
+def _embed(g_core: np.ndarray, active: list[int], num_spins: int) -> np.ndarray:
+    """g_core (x) I with the core's spins placed on `active` (0-based,
+    increasing) and the identity on the others.  One scatter into a zero
+    matrix writes only the dim**2 / 2**idle nonzero entries; a kron plus an
+    axis transpose would copy the full matrix twice."""
+    if len(active) == num_spins:
+        return g_core
+
+    def offsets(spins):
+        # Basis-index offset of each bit pattern on `spins`, the first spin
+        # most significant, in the order of the pattern's own index.
+        idx = np.zeros(1, dtype=np.intp)
+        for spin in spins:
+            idx = (idx[:, None] + [0, 1 << (num_spins - 1 - spin)]).ravel()
+        return idx
+
+    idle = [spin for spin in range(num_spins) if spin not in active]
+    rows = offsets(active)[:, None] + offsets(idle)  # rows[a, j]: core row a, idle state j
+    g = np.zeros((2**num_spins,) * 2, dtype=complex)
+    g[rows[:, None, :], rows[None, :, :]] = g_core[:, :, None]
+    return g
+
+
 def extract_generator(
     u: np.ndarray,
     branch: BranchConvention = BranchConvention.PRINCIPAL_LOWER,
@@ -100,27 +154,39 @@ def extract_generator(
     """Hermitian g with exp(-i*g) == u, eigenphases folded per `branch`.
 
     Eigenvalues within the degeneracy tolerance of each other get one common
-    phase so g stays well defined on degenerate subspaces.
+    phase so g stays well defined on degenerate subspaces.  Spins on which u
+    acts as the identity are split off first: only the active core is
+    diagonalized, and g is g_core (x) I on the original spin axes.
     """
     u = np.asarray(u, dtype=complex)
-    decomp = linalg.eig_unitary(u, tol)
+    n = linalg.num_spins_for_dim(u.shape[0])
+    core, active, deviation = _peel_idle_spins(u, n, tol)
+    decomp = linalg.eig_unitary(core, tol)
     lam = decomp.eigenvalues
     phases = np.empty(lam.shape[0], dtype=float)
     for cluster in _cluster_indices(lam, DEGENERACY_TOL):
         rep = np.mean(lam[cluster])
         rep /= abs(rep)
         phases[cluster] = eigenphase(rep, branch)
-    t_dag = decomp.t.conj().T
-    g = (t_dag * phases) @ decomp.t
-    g = (g + g.conj().T) / 2
-    # exp(-i*g) shares g's eigenbasis, so the reconstruction is checked
-    # there instead of diagonalizing g a second time.
-    residual = linalg.max_abs_diff((t_dag * np.exp(-1j * phases)) @ decomp.t, u)
+    if decomp.off_diagonal is not None:
+        # t is the identity: the generator is diagonal and the
+        # reconstruction differs from u by its diagonal misfit and by the
+        # off-diagonal entries the input basis keeps.
+        g_core = np.diag(phases.astype(complex))
+        residual = max(decomp.off_diagonal, linalg.max_abs_diff(np.exp(-1j * phases), lam))
+    else:
+        t_dag = decomp.t.conj().T
+        g_core = (t_dag * phases) @ decomp.t
+        g_core = (g_core + g_core.conj().T) / 2
+        # exp(-i*g) shares g's eigenbasis, so the reconstruction is checked
+        # there instead of diagonalizing g a second time.
+        residual = linalg.max_abs_diff((t_dag * np.exp(-1j * phases)) @ decomp.t, core)
+    residual += deviation
     if residual > 10 * tol:
         raise ValueError(
             f"generator reconstruction residual {residual:.3e} exceeds {10 * tol:.1e}"
         )
-    return g
+    return _embed(g_core, active, n)
 
 
 def _sigma_coefficients(m: np.ndarray) -> np.ndarray:

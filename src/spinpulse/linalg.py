@@ -80,28 +80,41 @@ def require_hermitian(h: np.ndarray, tol: float = DEFAULT_TOL) -> None:
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral data of a unitary: t's rows are eigen-bras, so t @ u @ t† is
-    diagonal and equals diag(eigenvalues)."""
+    diagonal and equals diag(eigenvalues).
+
+    `off_diagonal` is set only when u was already diagonal within tol: t is
+    then the identity and this is the largest off-diagonal magnitude of u,
+    which the input basis leaves in place.
+    """
 
     eigenvalues: np.ndarray
     t: np.ndarray
+    off_diagonal: float | None = None
 
 
 def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Orthonormal eigendecomposition of a unitary (normal) matrix.
+    """Orthonormal eigendecomposition of a unitary matrix.
 
     Diagonalizes the Hermitian pair h1 = (u + u†)/2 and h2 = (u - u†)/2i:
     h1 first, then h2 restricted to each degenerate eigenspace of h1.  The
     result is a common orthonormal eigenbasis, valid for any normal matrix,
     using only Hermitian eigensolvers.
+
+    Unitarity is read off the result instead of a separate u @ u† check: u
+    is unitary iff a unitary t diagonalizes it (u is normal) and every
+    eigenvalue has modulus one.  Raises ValueError when either fails.
     """
     u = np.asarray(u, dtype=complex)
-    require_unitary(u, tol)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {u.shape}")
     dim = u.shape[0]
 
     off_diag = max_abs_diff(u, np.diag(np.diag(u)))
     if off_diag < tol:
         # Already diagonal: keep the input basis and ordering.
-        return EigenDecomposition(np.diag(u).copy(), np.eye(dim, dtype=complex))
+        eigenvalues = np.diag(u).copy()
+        _require_unit_moduli(eigenvalues, tol)
+        return EigenDecomposition(eigenvalues, np.eye(dim, dtype=complex), off_diag)
 
     h1 = (u + u.conj().T) / 2
     h2 = (u - u.conj().T) / 2j
@@ -122,13 +135,16 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     t = v.conj().T
     diag = t @ u @ t.conj().T
     eigenvalues = np.diag(diag).copy()
-    residual = max_abs_diff(diag, np.diag(eigenvalues))
-    if residual > max(10 * tol, 1e-10):
-        raise np.linalg.LinAlgError(
-            f"failed to diagonalize (off-diagonal residual {residual:.3e}); "
-            "input may not be normal"
-        )
+    # A non-normal input leaves off-diagonal weight no unitary t removes.
+    if max_abs_diff(diag, np.diag(eigenvalues)) > max(10 * tol, 1e-10):
+        raise ValueError(f"matrix is not unitary within tolerance {tol}")
+    _require_unit_moduli(eigenvalues, tol)
     return EigenDecomposition(eigenvalues, t)
+
+
+def _require_unit_moduli(eigenvalues: np.ndarray, tol: float) -> None:
+    if eigenvalues.size and np.max(np.abs(np.abs(eigenvalues) - 1)) >= tol:
+        raise ValueError(f"matrix is not unitary within tolerance {tol}")
 
 
 def matrix_exp_hermitian(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

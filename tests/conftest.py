@@ -18,6 +18,15 @@ def random_unitary(rng, dim, scale=1.0):
     return linalg.matrix_exp_hermitian(random_hermitian(rng, dim, scale))
 
 
+def haar_unitary(seed, dim):
+    """QR of a complex Gaussian with R's diagonal phases folded into Q."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
 def expm_series(a):
     """Matrix exponential by scaling-and-squaring plus Taylor series; an
     oracle independent of any eigendecomposition."""

@@ -1,20 +1,23 @@
 """Property tests of the vectorized kernels against their textbook
 definitions: the butterfly expansion against the trace formula, in-place
-simulation against a product of kron-built pulse matrices, and the
-vectorized commutation check against the pairwise one."""
+simulation against a product of kron-built pulse matrices, the vectorized
+commutation check against the pairwise one, and idle-spin extraction
+against a kron-built embedding of the core's generator."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpulse import generator, linalg, pauli, sim
+from spinpulse import formats, gates, generator, linalg, pauli, sim
 from spinpulse.generator import GeneratorExpansion
 from spinpulse.pauli import PauliString
+from spinpulse.pipeline import CompileOptions, compile_unitary
 from spinpulse.pulse import Coupling, PulseSequence, Rotation
 
-from conftest import random_hermitian
+from conftest import haar_unitary, random_hermitian
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -107,3 +110,117 @@ def test_all_commuting_accepts_largest_commuting_set():
     words = [format(k, "04b").replace("1", "z") for k in range(16)]
     expansion = GeneratorExpansion(4, {PauliString.from_string(w): 1.0 for w in words})
     assert expansion.all_commuting()
+
+
+def place(m, active, n):
+    """m (x) I on n spins with m's spins on `active` (0-based, increasing),
+    built by kron in the order active-then-idle and an explicit basis
+    permutation back to the spin order."""
+    order = active + [spin for spin in range(n) if spin not in active]
+    big = np.kron(m, np.eye(2 ** (n - len(active))))
+    perm = [
+        sum(((b >> (n - 1 - p)) & 1) << (n - 1 - order[p]) for p in range(n))
+        for b in range(2**n)
+    ]
+    out = np.empty_like(big)
+    out[np.ix_(perm, perm)] = big
+    return out
+
+
+@st.composite
+def embedded_cores(draw, min_spins=1, cores=None):
+    """(core, active, n): a Haar core on 1-3 spins, or one of `cores`, and a
+    random, possibly non-contiguous, increasing set of spins of n <= 7."""
+    if cores is not None and draw(st.booleans()):
+        core = draw(st.sampled_from(cores))
+    else:
+        core = haar_unitary(draw(seeds), 2 ** draw(st.integers(1, 3)))
+    k = core.shape[0].bit_length() - 1
+    n = draw(st.integers(max(k, min_spins), 7))
+    active = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    return core, active, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(embedded_cores())
+def test_extract_on_embedded_core_matches_kron(case):
+    core, active, n = case
+    g = generator.extract_generator(place(core, active, n))
+    expected = place(generator.extract_generator(core), active, n)
+    assert linalg.max_abs_diff(g, expected) < 1e-12
+
+
+def relabel(seq, active, n):
+    """Core sequence moved onto `active`: core spin k becomes active[k-1]+1."""
+    spin = [None] + [s + 1 for s in active]
+    ops = [
+        Rotation(spin[op.spin], op.axis, op.angle)
+        if isinstance(op, Rotation)
+        else Coupling(spin[op.i], spin[op.j], op.angle)
+        for op in seq.ops
+    ]
+    return PulseSequence(n, ops, seq.global_phase)
+
+
+@settings(max_examples=25, deadline=None)
+@given(embedded_cores())
+def test_embedded_core_compiles_to_relabelled_core_sequence(case):
+    core, active, n = case
+    # One product-formula step keeps the Haar cores' sequences short.
+    options = CompileOptions(trotter_steps=1, verify=False)
+    report = compile_unitary(place(core, active, n), options)
+    core_report = compile_unitary(core, options)
+    assert report.exact == core_report.exact
+    expected = formats.format_sequence(relabel(core_report.sequence, active, n))
+    assert formats.format_sequence(report.sequence) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 7), st.floats(-math.pi, math.pi, allow_nan=False))
+def test_global_phase_compiles_to_empty_exact_ledger(n, phi):
+    u = np.exp(1j * phi) * np.eye(2**n)
+    report = compile_unitary(u, CompileOptions(verify=False))
+    assert report.sequence.ops == []
+    assert report.exact
+    ledger = np.exp(1j * report.sequence.global_phase) * sim.simulate(report.sequence)
+    # expand drops coefficients below COEFF_TOL, the identity's included.
+    bound = generator.COEFF_TOL if abs(phi) < generator.COEFF_TOL else 1e-15
+    assert linalg.max_abs_diff(ledger, u) < bound
+
+
+def idle_spin_noise(n, spin, axis, angle):
+    """exp(-i*angle*sigma_axis/2) on one spin, the identity elsewhere."""
+    return place(
+        math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * pauli.SIGMA[axis],
+        [spin],
+        n,
+    )
+
+
+GATE_CORES = [gates.cnot(), gates.toffoli(), gates.controlled_phase()]
+
+
+@pytest.mark.parametrize("scale", [0.3, 100])
+@settings(max_examples=30, deadline=None)
+@given(embedded_cores(min_spins=4, cores=GATE_CORES), st.sampled_from("xyz"), st.data())
+def test_noise_on_idle_spin(scale, case, axis, data):
+    """A rotation by scale*tol on an idle spin moves u's blocks by at most
+    scale*tol.  At 0.3*tol the spin is still split off and the noise fits in
+    the residual check; at 100*tol the spin is active and g carries the
+    rotation (a core eigenvalue -1 on the branch cut may split into more
+    terms on that spin).  Either way the rotation commutes with the core,
+    so the route and its exactness are those of the noiseless input."""
+    core, active, n = case
+    idle = [spin for spin in range(n) if spin not in active]
+    spin = data.draw(st.sampled_from(idle))
+    tol = linalg.DEFAULT_TOL
+    u = place(core, active, n) @ idle_spin_noise(n, spin, axis, scale * tol)
+    g = generator.extract_generator(u, tol=tol)
+    on_spin = {word.axes[spin] for word in generator.expand(g).coeffs} - {"0"}
+    assert axis in on_spin if scale > 1 else not on_spin
+    assert linalg.max_abs_diff(linalg.matrix_exp_hermitian(g), u) <= 10 * tol
+    report = compile_unitary(u, CompileOptions(trotter_steps=1))
+    clean = compile_unitary(place(core, active, n), CompileOptions(trotter_steps=1))
+    assert report.exact == clean.exact
+    if report.exact and report.verified is not None:
+        assert report.verified

@@ -112,6 +112,18 @@ def test_eig_rejects_nonunitary():
         linalg.eig_unitary(np.diag([2.0 + 0j, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[1, 1], [0, 1]], dtype=complex),  # not normal
+        np.array([[1, 1], [1, -1]], dtype=complex),  # normal, eigenvalues +-sqrt(2)
+    ],
+)
+def test_eig_rejects_nonunitary_nondiagonal(m):
+    with pytest.raises(ValueError, match="not unitary within tolerance"):
+        linalg.eig_unitary(m)
+
+
 def test_exp_zero_is_identity():
     np.testing.assert_array_equal(
         linalg.matrix_exp_hermitian(np.zeros((2, 2))), np.eye(2)
