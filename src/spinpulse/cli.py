@@ -58,7 +58,7 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--gate",
-        choices=sorted(["cnot", "toffoli", "swap", "cphase", "fphase"]),
+        choices=sorted(gates.GATES),
         help="named target gate",
     )
     source.add_argument("--matrix", metavar="FILE", help="matrix file to compile")
@@ -152,7 +152,8 @@ def cmd_compile(args) -> int:
     else:
         _emit(formats.format_sequence(report.sequence), args.out)
 
-    summary = f"strategy {report.strategy}; {report.op_count} ops; exact {report.exact}"
+    ops = len(report.sequence.ops)
+    summary = f"strategy {report.strategy}; {ops} ops; exact {report.exact}"
     if report.verified is not None:
         summary += f"; residual {report.verification_residual:.3e}"
     print(summary, file=sys.stderr)

@@ -121,16 +121,16 @@ def euler_decompose(a: SingleOp, b: SingleOp) -> list[SingleOp]:
     third angles are negatives of each other.
     """
     comm = pauli.commutator(a.s, b.s)
-    if comm.vanishes:
+    if comm is None:
         raise ValueError(f"{a.s} and {b.s} commute; no rotation triple")
-    orientation = 1.0 if comm.coefficient.imag > 0 else -1.0
+    word, coefficient = comm
+    orientation = 1.0 if coefficient.imag > 0 else -1.0
     radius = math.hypot(a.angle, b.angle)
     theta = math.atan2(b.angle * orientation, a.angle)
-    assert comm.result is not None
     return [
-        SingleOp(comm.result, -theta),
+        SingleOp(word, -theta),
         SingleOp(a.s, radius),
-        SingleOp(comm.result, theta),
+        SingleOp(word, theta),
     ]
 
 

@@ -98,21 +98,11 @@ def phase_flip(marked: Iterable[int], num_spins: int) -> np.ndarray:
     return np.diag(diag)
 
 
-_BUILDERS = {
+# Builders by CLI name: `spinpulse --gate` offers exactly these names.
+GATES = {
     "cnot": cnot,
     "toffoli": toffoli,
     "swap": swap,
     "cphase": controlled_phase,
     "fphase": phase_flip,
 }
-
-
-def build(name: str, **params) -> np.ndarray:
-    """Build a named gate; names match the CLI vocabulary."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown gate {name!r}; expected one of {sorted(_BUILDERS)}"
-        ) from None
-    return builder(**params)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, pauli
-from .linalg import DEGENERACY_TOL
 from .pauli import PauliString
 
 # Coefficients below this are numerical noise: exact gate inputs produce
@@ -52,20 +51,20 @@ class GeneratorExpansion:
     def all_commuting(self) -> bool:
         """True iff every pair of terms commutes.
 
-        With per-slot bits x = {x, y} and z = {z, y}, two words commute iff
-        sum(x1*z2 + z1*x2) is even, i.e. iff A = X @ Z^T is symmetric mod 2.
-        Pairwise commuting words span an isotropic subspace of F2^(2n), which
-        holds at most 2**n words, so a longer list fails before the T x T
-        matrix is built (a dense generator has up to 4**n - 1 terms).
+        With each word's x and z masks unpacked into bit rows X and Z, two
+        words commute iff sum(x1*z2 + z1*x2) is even, i.e. iff A = X @ Z^T
+        is symmetric mod 2.  Pairwise commuting words span an isotropic
+        subspace of F2^(2n), which holds at most 2**n words, so a longer list
+        fails before the T x T matrix is built (a dense generator has up to
+        4**n - 1 terms).
         """
         if not self.coeffs:
             return True
         if len(self.coeffs) > 2**self.num_spins:
             return False
-        axes = np.array([word.axes for word in self.coeffs])
-        x = ((axes == "x") | (axes == "y")).astype(np.int64)
-        z = ((axes == "z") | (axes == "y")).astype(np.int64)
-        parity = (x @ z.T) % 2
+        masks = np.array([(word.x, word.z) for word in self.coeffs], dtype=np.int64)
+        bits = (masks[:, :, None] >> np.arange(self.num_spins)) & 1
+        parity = (bits[:, 0] @ bits[:, 1].T) % 2
         return np.array_equal(parity, parity.T)
 
 
@@ -153,10 +152,10 @@ def extract_generator(
 ) -> np.ndarray:
     """Hermitian g with exp(-i*g) == u, eigenphases folded per `branch`.
 
-    Eigenvalues within the degeneracy tolerance of each other get one common
-    phase so g stays well defined on degenerate subspaces.  Spins on which u
-    acts as the identity are split off first: only the active core is
-    diagonalized, and g is g_core (x) I on the original spin axes.
+    Eigenvalues within 10*tol of each other get one common phase so g stays
+    well defined on degenerate subspaces.  Spins on which u acts as the
+    identity are split off first: only the active core is diagonalized, and
+    g is g_core (x) I on the original spin axes.
     """
     u = np.asarray(u, dtype=complex)
     n = linalg.num_spins_for_dim(u.shape[0])
@@ -164,7 +163,7 @@ def extract_generator(
     decomp = linalg.eig_unitary(core, tol)
     lam = decomp.eigenvalues
     phases = np.empty(lam.shape[0], dtype=float)
-    for cluster in _cluster_indices(lam, DEGENERACY_TOL):
+    for cluster in _cluster_indices(lam, 10 * tol):
         rep = np.mean(lam[cluster])
         rep /= abs(rep)
         phases[cluster] = eigenphase(rep, branch)
@@ -213,13 +212,6 @@ def _sigma_coefficients(m: np.ndarray) -> np.ndarray:
     return t.reshape(-1) / dim
 
 
-def _word_for_index(index: int, num_spins: int) -> PauliString:
-    axes = []
-    for shift in range(num_spins - 1, -1, -1):
-        axes.append(pauli.AXES[(index >> (2 * shift)) & 3])
-    return PauliString(tuple(axes))
-
-
 def expand(
     g: np.ndarray, num_spins: int | None = None, tol: float = COEFF_TOL
 ) -> GeneratorExpansion:
@@ -248,9 +240,8 @@ def expand(
     values = 2 * sigma_coeffs.real
     coeffs: dict[PauliString, float] = {}
     for index in np.nonzero(np.abs(values) >= tol)[0]:
-        if index == 0:
-            continue
-        coeffs[_word_for_index(int(index), n)] = float(values[index])
+        if index != 0:
+            coeffs[PauliString.from_index(int(index), n)] = float(values[index])
     return GeneratorExpansion(num_spins=n, coeffs=coeffs, identity_coeff=identity_coeff)
 
 

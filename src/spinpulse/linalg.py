@@ -11,11 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Eigenvalues of the Hermitian part closer than this are treated as one
-# degenerate cluster.  Gate spectra are exact multiples of pi, so 1e-8
-# cleanly separates genuinely distinct phases at this scale.
-DEGENERACY_TOL = 1e-8
-
 DEFAULT_TOL = 1e-9
 
 
@@ -25,26 +20,6 @@ def num_spins_for_dim(dim: int) -> int:
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"matrix dimension {dim} is not a power of two")
     return n
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with a dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the first factor is the most significant spin."""
-    return np.kron(a, b)
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -96,7 +71,8 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     """Orthonormal eigendecomposition of a unitary matrix.
 
     Diagonalizes the Hermitian pair h1 = (u + u†)/2 and h2 = (u - u†)/2i:
-    h1 first, then h2 restricted to each degenerate eigenspace of h1.  The
+    h1 first, then h2 restricted to each degenerate eigenspace of h1 (h1
+    eigenvalues within 10*tol of their neighbours count as one).  The
     result is a common orthonormal eigenbasis, valid for any normal matrix,
     using only Hermitian eigensolvers.
 
@@ -122,7 +98,7 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
 
     start = 0
     for stop in range(1, dim + 1):
-        if stop < dim and w[stop] - w[stop - 1] <= DEGENERACY_TOL:
+        if stop < dim and w[stop] - w[stop - 1] <= 10 * tol:
             continue
         if stop - start > 1:
             block = v[:, start:stop]

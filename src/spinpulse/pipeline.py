@@ -45,8 +45,6 @@ class CompileReport:
     sequence: PulseSequence
     exact: bool
     strategy: str
-    global_phase: float
-    op_count: int
     verification_residual: float | None = None
     verification_phase: float | None = None
     verified: bool | None = None
@@ -58,13 +56,7 @@ def _finish(
     seq = reduction.reduce_plan(
         plan, allow_z=options.allow_z, use_pseudo_cnot=options.use_pseudo_cnot
     )
-    report = CompileReport(
-        sequence=seq,
-        exact=plan.exact,
-        strategy=plan.strategy,
-        global_phase=seq.global_phase,
-        op_count=len(seq.ops),
-    )
+    report = CompileReport(sequence=seq, exact=plan.exact, strategy=plan.strategy)
     should_verify = (
         options.verify
         and target is not None

@@ -17,6 +17,7 @@ import math
 from dataclasses import replace
 
 from .decompose import DecompositionPlan, SingleOp
+from .pauli import PauliString
 from .pulse import Coupling, PulseOp, PulseSequence, Rotation
 
 HALF_PI = math.pi / 2
@@ -59,16 +60,15 @@ def axis_transform(op: SingleOp) -> tuple[list[PulseOp], SingleOp, list[PulseOp]
     if op.s.weight == 0:
         raise ValueError("zero-weight word has no axes to transform")
     pre: list[PulseOp] = []
-    axes = []
-    for slot, axis in enumerate(op.s.axes):
-        spin = slot + 1
+    spins = op.s.support()
+    for spin in spins:
+        axis = op.s.axis(spin)
         if axis == "x":
             pre.append(Rotation(spin, "y", -HALF_PI))
         elif axis == "y":
             pre.append(Rotation(spin, "x", HALF_PI))
-        axes.append("z" if axis != "0" else "0")
     post = [Rotation(w.spin, w.axis, -w.angle) for w in reversed(pre)]
-    core = SingleOp(type(op.s)(tuple(axes)), op.angle)
+    core = SingleOp(PauliString.z_on(op.s.num_spins, spins), op.angle)
     return pre, core, post
 
 
@@ -114,16 +114,16 @@ def reduce_coupling_order(
     top of the simulated product); pseudo flips are phase-exact, full flips
     contribute their sequence phase twice per level.
     """
-    if any(a not in ("0", "z") for a in op.s.axes):
-        raise ValueError(f"{op.s} is not an all-z word")
     spins = op.s.support()
+    if op.s != PauliString.z_on(op.s.num_spins, spins):
+        raise ValueError(f"{op.s} is not an all-z word")
     if not spins:
         raise ValueError("zero-weight word")
     if len(spins) == 1:
         return [Rotation(spins[0], "z", op.angle)], 0.0
     if len(spins) == 2:
         return [Coupling(spins[0], spins[1], op.angle)], 0.0
-    inner = SingleOp(type(op.s).z_on(op.s.num_spins, spins[1:]), op.angle)
+    inner = SingleOp(PauliString.z_on(op.s.num_spins, spins[1:]), op.angle)
     inner_ops, phase = reduce_coupling_order(inner, use_pseudo_cnot)
     i, j = spins[0], spins[1]
     if use_pseudo_cnot:
@@ -148,7 +148,7 @@ def reduce_plan(
             continue
         if sop.s.weight == 1:
             spin = sop.s.support()[0]
-            ops.append(Rotation(spin, sop.s.axes[spin - 1], sop.angle))
+            ops.append(Rotation(spin, sop.s.axis(spin), sop.angle))
             continue
         pre, core, post = axis_transform(sop)
         body, extra = reduce_coupling_order(core, use_pseudo_cnot)

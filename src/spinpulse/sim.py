@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg, pauli
 from .decompose import DecompositionPlan
-from .pulse import Coupling, PulseOp, PulseSequence, Rotation
+from .pulse import Coupling, PulseSequence, Rotation
 
 
 def _exp_sigma(angle: float, sigma: np.ndarray) -> np.ndarray:
@@ -22,11 +22,6 @@ def _exp_sigma(angle: float, sigma: np.ndarray) -> np.ndarray:
     cos(angle/2)*E - i*sin(angle/2)*sigma."""
     half = angle / 2
     return math.cos(half) * np.eye(len(sigma)) - 1j * math.sin(half) * sigma
-
-
-def op_matrix(op: PulseOp, num_spins: int) -> np.ndarray:
-    """Matrix of one pulse: the one-op sequence through `simulate`."""
-    return simulate(PulseSequence(num_spins, [op]))
 
 
 def simulate(seq: PulseSequence) -> np.ndarray:

@@ -180,8 +180,8 @@ def test_criterion_6_third_order_block_structure(rng):
         exponential = linalg.matrix_exp_hermitian(
             phi * pauli.materialize(word("zzz"))
         )
-        j_pos = sim.op_matrix(Coupling(1, 2, phi), 2)
-        j_neg = sim.op_matrix(Coupling(1, 2, -phi), 2)
+        j_pos = sim.simulate(PulseSequence(2, [Coupling(1, 2, phi)]))
+        j_neg = sim.simulate(PulseSequence(2, [Coupling(1, 2, -phi)]))
         block = np.zeros((8, 8), dtype=complex)
         block[:4, :4] = j_pos
         block[4:, 4:] = j_neg
@@ -234,7 +234,7 @@ def test_criterion_9_round_trip_compiles(rng):
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 4))
-        words = [s for s in pauli.enumerate_basis(n) if s.weight > 0 and set(s.axes) <= {"0", "x", "z"}]
+        words = [s for s in pauli.enumerate_basis(n) if s.weight > 0 and "y" not in str(s)]
         chosen = []
         while len(chosen) < int(rng.integers(1, 4)):
             s = words[int(rng.integers(len(words)))]

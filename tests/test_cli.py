@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinpulse import formats, gates, linalg, pauli, sim
-from spinpulse.cli import main, parse_angle
+from spinpulse.cli import build_parser, main, parse_angle
 from spinpulse.pauli import PauliString
 
 
@@ -203,3 +203,25 @@ def test_full_cnot_flag(capsys):
     assert code == 0
     seq = formats.parse_sequence(stdout)
     assert sim.equal_up_to_phase(gates.toffoli(), sim.simulate(seq), 1e-9).equal
+
+
+def test_gate_choices_come_from_gates_table(capsys):
+    for name in gates.GATES:
+        assert build_parser().parse_args(["compile", "--gate", name]).gate == name
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "--gate", "hadamard"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_tiny_cphase_compiles_at_tight_tol(capsys):
+    # Eigenphases 1e-9 apart: distinct at tol 1e-12, one cluster at 1e-9.
+    code, stdout, _ = run(
+        capsys, "compile", "--gate", "cphase", "--phi", "1e-9", "--tol", "1e-12"
+    )
+    assert code == 0
+    assert len(formats.parse_sequence(stdout).ops) == 7
+    code, stdout, _ = run(capsys, "compile", "--gate", "cphase", "--phi", "1e-9")
+    assert code == 0
+    assert "# phase 2.5e-10" in stdout.splitlines()
+    assert formats.parse_sequence(stdout).ops == []

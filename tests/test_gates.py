@@ -94,9 +94,3 @@ def test_invalid_indices_rejected():
         gates.cnot(1, 3, num_spins=2)
     with pytest.raises(ValueError):
         gates.toffoli(controls=(1, 2, 3))
-
-
-def test_build_dispatch():
-    np.testing.assert_array_equal(gates.build("swap"), gates.swap())
-    with pytest.raises(ValueError):
-        gates.build("hadamard")

@@ -216,7 +216,7 @@ def test_noise_on_idle_spin(scale, case, axis, data):
     tol = linalg.DEFAULT_TOL
     u = place(core, active, n) @ idle_spin_noise(n, spin, axis, scale * tol)
     g = generator.extract_generator(u, tol=tol)
-    on_spin = {word.axes[spin] for word in generator.expand(g).coeffs} - {"0"}
+    on_spin = {word.axis(spin + 1) for word in generator.expand(g).coeffs} - {"0"}
     assert axis in on_spin if scale > 1 else not on_spin
     assert linalg.max_abs_diff(linalg.matrix_exp_hermitian(g), u) <= 10 * tol
     report = compile_unitary(u, CompileOptions(trotter_steps=1))

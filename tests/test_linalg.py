@@ -6,58 +6,6 @@ from spinpulse import linalg
 from conftest import expm_series, random_hermitian, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def test_multiply_identity():
-    m = np.arange(4, dtype=complex).reshape(2, 2)
-    np.testing.assert_array_equal(linalg.multiply(np.eye(2), m), m)
-
-
-def test_multiply_pauli_product():
-    np.testing.assert_allclose(linalg.multiply(SX, SY), 1j * SZ, atol=1e-15)
-
-
-def test_multiply_matches_triple_loop(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    expected = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                expected[i, j] += a[i, k] * b[k, j]
-    np.testing.assert_allclose(linalg.multiply(a, b), expected, atol=1e-12)
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        linalg.multiply(np.eye(2), np.eye(4))
-
-
-def test_tensor_identities():
-    np.testing.assert_array_equal(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
-    iz = np.diag([0.5, -0.5])
-    np.testing.assert_array_equal(
-        np.diag(linalg.tensor(iz, np.eye(2))), [0.5, 0.5, -0.5, -0.5]
-    )
-    np.testing.assert_array_equal(
-        np.diag(linalg.tensor(iz, iz)), [0.25, -0.25, -0.25, 0.25]
-    )
-
-
-def test_tensor_associative(rng):
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    left = linalg.tensor(linalg.tensor(a, b), c)
-    right = linalg.tensor(a, linalg.tensor(b, c))
-    assert linalg.max_abs_diff(left, right) < 1e-12
-
-
-def test_adjoint():
-    m = np.array([[1, 2j], [3, 4]], dtype=complex)
-    np.testing.assert_array_equal(linalg.adjoint(m), m.conj().T)
 
 
 def test_max_abs_diff_shape_check():

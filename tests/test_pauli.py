@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpulse import linalg, pauli
 from spinpulse.pauli import PauliString
@@ -26,7 +28,7 @@ def test_materialize_identity_word():
 
 def test_materialize_guard():
     with pytest.raises(ValueError):
-        pauli.materialize(PauliString(tuple("0" * 11)))
+        pauli.materialize(word("0" * 11))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -70,13 +72,9 @@ def test_commutes_matches_matrix_oracle(n):
 
 
 def test_commutator_examples():
-    c = pauli.commutator(word("x"), word("y"))
-    assert not c.vanishes and c.result == word("z") and c.coefficient == 1j
-
-    c = pauli.commutator(word("xz"), word("yz"))
-    assert not c.vanishes and c.result == word("z0") and c.coefficient == 1j
-
-    assert pauli.commutator(word("zz"), word("z0")).vanishes
+    assert pauli.commutator(word("x"), word("y")) == (word("z"), 1j)
+    assert pauli.commutator(word("xz"), word("yz")) == (word("z0"), 1j)
+    assert pauli.commutator(word("zz"), word("z0")) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -87,11 +85,12 @@ def test_commutator_reconstruction(n):
         for b in basis:
             c = pauli.commutator(a, b)
             bracket = mats[a] @ mats[b] - mats[b] @ mats[a]
-            if c.vanishes:
+            if c is None:
                 assert np.max(np.abs(bracket)) < 1e-12
             else:
-                assert c.coefficient in (1j, -1j)
-                expected = c.coefficient * mats[c.result]
+                result, coefficient = c
+                assert coefficient in (1j, -1j)
+                expected = coefficient * mats[result]
                 assert linalg.max_abs_diff(bracket, expected) < 1e-12
 
 
@@ -121,6 +120,71 @@ def test_string_round_trip():
 
 def test_invalid_axes_rejected():
     with pytest.raises(ValueError):
-        PauliString(("a",))
+        PauliString.from_string("a")
     with pytest.raises(ValueError):
-        PauliString(())
+        PauliString.from_string("")
+
+
+@st.composite
+def words(draw, count=1):
+    """`count` random words on one register of 1..5 spins."""
+    n = draw(st.integers(1, 5))
+    indices = st.integers(0, 4**n - 1)
+    return [PauliString.from_index(draw(indices), n) for _ in range(count)]
+
+
+def bracket(a, b):
+    ma, mb = pauli.materialize(a), pauli.materialize(b)
+    return ma @ mb - mb @ ma
+
+
+@settings(max_examples=200, deadline=None)
+@given(words(count=2))
+def test_commutes_agrees_with_matrix_commutator(pair):
+    a, b = pair
+    assert pauli.commutes(a, b) == (np.max(np.abs(bracket(a, b))) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words(count=2))
+def test_commutator_matches_matrix_commutator(pair):
+    a, b = pair
+    c = pauli.commutator(a, b)
+    if c is None:
+        assert pauli.commutes(a, b)
+    else:
+        result, coefficient = c
+        assert coefficient in (1j, -1j)
+        expected = coefficient * pauli.materialize(result)
+        np.testing.assert_array_equal(bracket(a, b), expected)
+
+
+@given(st.text("0xyz", min_size=1, max_size=5))
+def test_string_round_trip_property(text):
+    s = PauliString.from_string(text)
+    assert str(s) == text
+    assert s.weight == sum(a != "0" for a in text)
+    assert s.support() == [i + 1 for i, a in enumerate(text) if a != "0"]
+    assert [s.axis(spin) for spin in range(1, len(text) + 1)] == list(text)
+
+
+@given(st.data())
+def test_index_constructor_inverts_basis_index(data):
+    n = data.draw(st.integers(1, 5))
+    index = data.draw(st.integers(0, 4**n - 1))
+    s = PauliString.from_index(index, n)
+    assert s.index == index
+    # The index's base-4 digits name the slots, spin 1 first.
+    digits = np.base_repr(index, 4).zfill(n)
+    assert str(s) == "".join("0xyz"[int(d)] for d in digits)
+
+
+@given(words(count=8))
+def test_sort_order_is_basis_index_order(ws):
+    by_index = sorted(ws, key=lambda s: s.index)
+    assert sorted(ws) == by_index
+    # Equal-length digit strings sort like the base-4 numbers they spell.
+    digits = str.maketrans("0xyz", "0123")
+    assert [str(s).translate(digits) for s in by_index] == sorted(
+        str(s).translate(digits) for s in ws
+    )

@@ -17,7 +17,6 @@ def test_toffoli_compiles_exactly():
     report = compile_ok(gates.toffoli())
     assert report.exact and report.strategy == "commuting"
     assert report.verified and report.verification_residual < 1e-9
-    assert report.op_count == len(report.sequence.ops)
 
 
 def test_identity_compiles_to_empty_sequence():
@@ -160,7 +159,7 @@ def test_global_phase_ledger_is_exact_for_commuting_route():
         simulated = sim.simulate(report.sequence)
         assert (
             linalg.max_abs_diff(
-                gates.toffoli(), np.exp(1j * report.global_phase) * simulated
+                gates.toffoli(), np.exp(1j * report.sequence.global_phase) * simulated
             )
             < 1e-9
         )

@@ -7,12 +7,12 @@ from spinpulse.pulse import Coupling, PulseSequence, Rotation
 
 
 def test_rotation_closed_form():
-    m = sim.op_matrix(Rotation(1, "x", np.pi), 1)
+    m = sim.simulate(PulseSequence(1, [Rotation(1, "x", np.pi)]))
     np.testing.assert_allclose(m, -1j * pauli.SIGMA["x"], atol=1e-15)
 
 
 def test_coupling_closed_form():
-    m = sim.op_matrix(Coupling(1, 2, np.pi / 2), 2)
+    m = sim.simulate(PulseSequence(2, [Coupling(1, 2, np.pi / 2)]))
     expected = np.diag(
         np.exp(1j * np.array([-np.pi / 4, np.pi / 4, np.pi / 4, -np.pi / 4]))
     )
@@ -20,14 +20,15 @@ def test_coupling_closed_form():
 
 
 def test_zero_angle_rotation_is_identity():
-    np.testing.assert_array_equal(sim.op_matrix(Rotation(2, "y", 0.0), 3), np.eye(8))
+    m = sim.simulate(PulseSequence(3, [Rotation(2, "y", 0.0)]))
+    np.testing.assert_array_equal(m, np.eye(8))
 
 
 def test_op_matrix_range_check():
     with pytest.raises(ValueError):
-        sim.op_matrix(Rotation(3, "x", 0.1), 2)
+        sim.simulate(PulseSequence(2, [Rotation(3, "x", 0.1)]))
     with pytest.raises(ValueError):
-        sim.op_matrix(Coupling(1, 4, 0.1), 3)
+        sim.simulate(PulseSequence(3, [Coupling(1, 4, 0.1)]))
 
 
 def test_op_matrix_matches_exponential_oracle(rng):
@@ -44,7 +45,7 @@ def test_op_matrix_matches_exponential_oracle(rng):
             op = Rotation(spin, axis, angle)
             s = PauliString.single(n, spin, axis)
         oracle = linalg.matrix_exp_hermitian(angle * pauli.materialize(s))
-        assert linalg.max_abs_diff(sim.op_matrix(op, n), oracle) < 1e-12
+        assert linalg.max_abs_diff(sim.simulate(PulseSequence(n, [op])), oracle) < 1e-12
 
 
 def test_simulate_empty_sequence():
