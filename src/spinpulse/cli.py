@@ -17,7 +17,7 @@ import numpy as np
 
 from . import formats, gates, generator, pipeline, sim
 from .generator import BranchConvention
-from .linalg import num_spins_for_dim, require_unitary
+from .linalg import num_spins_for_dim
 
 # Hard ceiling on compilation size: the basis expansion is 4**n.
 MAX_COMPILE_SPINS = 10
@@ -166,7 +166,6 @@ def cmd_compile(args) -> int:
 
 def cmd_expand(args) -> int:
     u = _load_target(args)
-    require_unitary(u, args.tol)
     g = generator.extract_generator(u, BranchConvention(args.branch), args.tol)
     expansion = generator.expand(g)
     sys.stdout.write(generator.format_expansion(expansion) + "\n")

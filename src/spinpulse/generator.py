@@ -156,8 +156,14 @@ def extract_generator(
     well defined on degenerate subspaces.  Spins on which u acts as the
     identity are split off first: only the active core is diagonalized, and
     g is g_core (x) I on the original spin axes.
+
+    This is the unitarity test: ValueError unless u is square, its core is
+    normal within max(10*tol, 1e-10) with ||lambda| - 1| < tol (eig_unitary)
+    and every peeled spin is idle within tol.
     """
     u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {u.shape}")
     n = linalg.num_spins_for_dim(u.shape[0])
     core, active, deviation = _peel_idle_spins(u, n, tol)
     decomp = linalg.eig_unitary(core, tol)

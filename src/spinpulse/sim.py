@@ -7,6 +7,7 @@ of the matrix product.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -24,6 +25,19 @@ def _exp_sigma(angle: float, sigma: np.ndarray) -> np.ndarray:
     return math.cos(half) * np.eye(len(sigma)) - 1j * math.sin(half) * sigma
 
 
+def _rotation(axis: str, angle: float) -> np.ndarray:
+    """_exp_sigma(angle, SIGMA[axis]) entry by entry, each zero part signed
+    as that matrix expression signs it, so the two agree bit for bit."""
+    half = angle / 2
+    c, s = math.cos(half), math.sin(half)
+    z = c * 0.0
+    if axis == "x":
+        return np.array([[c, complex(z, 0.0 - s)], [complex(z, 0.0 - s), c]])
+    if axis == "y":
+        return np.array([[c, z - s], [z + s, c]], dtype=complex)
+    return np.array([[complex(c, 0.0 - s), z], [z, complex(c, 0.0 + s)]])
+
+
 def simulate(seq: PulseSequence) -> np.ndarray:
     """Product of op matrices, last time step leftmost; empty -> identity.
     The sequence's global-phase ledger is not applied.
@@ -33,22 +47,22 @@ def simulate(seq: PulseSequence) -> np.ndarray:
     cos(a/2)*E - i*sin(a/2)*sigma_axis to the row pairs that differ only in
     its spin's bit, through a (2**(spin-1), 2, rest) view of the matrix.  A
     coupling is diagonal, e^{-i*a/2} on rows where the two bits agree and
-    e^{+i*a/2} where they differ, so it scales each row by that phase.
-    """
+    e^{+i*a/2} where they differ, so it scales each row by that phase (the
+    rows' +-1 signs are computed once per spin pair)."""
     n = seq.num_spins
     m = np.eye(2**n, dtype=complex)
     rows = np.arange(2**n)
+    sign = functools.cache(lambda i, j: 2 * (((rows >> (n - i)) ^ (rows >> (n - j))) & 1) - 1)
     for op in seq.ops:
         if isinstance(op, Rotation):
             if op.spin > n:
                 raise ValueError(f"spin {op.spin} out of range 1..{n}")
             pairs = m.reshape(2 ** (op.spin - 1), 2, -1)
-            pairs[:] = _exp_sigma(op.angle, pauli.SIGMA[op.axis]) @ pairs
+            pairs[:] = _rotation(op.axis, op.angle) @ pairs
         elif isinstance(op, Coupling):
             if op.j > n:
                 raise ValueError(f"spin {op.j} out of range 1..{n}")
-            differ = ((rows >> (n - op.i)) ^ (rows >> (n - op.j))) & 1
-            m *= np.exp(1j * op.angle / 2 * (2 * differ - 1))[:, None]
+            m *= np.exp(1j * op.angle / 2 * sign(op.i, op.j))[:, None]
         else:
             raise TypeError(f"unknown pulse op {op!r}")
     return m

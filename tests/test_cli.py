@@ -95,6 +95,25 @@ def test_compile_rejects_non_unitary(capsys, tmp_path):
     assert "error" in stderr
 
 
+NOT_UNITARY = {
+    "scaled_identity": 2 * np.eye(2),
+    "non_normal": np.array([[1, 1], [0, 1]]),
+    # a defect on spin 3, on which the cnot itself acts as the identity
+    "idle_spin_defect": np.kron(gates.cnot(1, 2), np.diag([1, 1.001])),
+}
+
+
+@pytest.mark.parametrize("command", ["compile", "expand"])
+@pytest.mark.parametrize("name", sorted(NOT_UNITARY))
+def test_non_unitary_input_exits_1(capsys, tmp_path, command, name):
+    path = tmp_path / "bad.txt"
+    path.write_text(formats.format_matrix(NOT_UNITARY[name].astype(complex)))
+    code, stdout, stderr = run(capsys, command, "--matrix", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert "not unitary" in stderr
+
+
 def test_expand_toffoli_table(capsys):
     code, stdout, _ = run(capsys, "expand", "--gate", "toffoli", "--branch", "lower")
     assert code == 0

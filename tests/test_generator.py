@@ -108,6 +108,12 @@ def test_expand_rejects_wrong_spin_count():
         generator.expand(np.zeros((4, 4)), num_spins=3)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (2, 4), (4,), (2, 2, 2)])
+def test_extract_rejects_non_square_input(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        generator.extract_generator(np.zeros(shape, dtype=complex))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_extraction_is_phase_exact(rng, n):
     for _ in range(10):

@@ -1,8 +1,9 @@
 """Property tests of the vectorized kernels against their textbook
 definitions: the butterfly expansion against the trace formula, in-place
 simulation against a product of kron-built pulse matrices, the vectorized
-commutation check against the pairwise one, and idle-spin extraction
-against a kron-built embedding of the core's generator."""
+commutation check against the pairwise one, idle-spin extraction
+against a kron-built embedding of the core's generator, and the one-pass
+pulse back end against its earlier form (backend_oracle.py)."""
 
 import math
 
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpulse import formats, gates, generator, linalg, pauli, sim
+from spinpulse import formats, gates, generator, linalg, pauli, reduction, sim
+from spinpulse.decompose import DecompositionPlan, SingleOp
 from spinpulse.generator import GeneratorExpansion
 from spinpulse.pauli import PauliString
 from spinpulse.pipeline import CompileOptions, compile_unitary
 from spinpulse.pulse import Coupling, PulseSequence, Rotation
 
+import backend_oracle
 from conftest import haar_unitary, random_hermitian
 
 seeds = st.integers(0, 2**32 - 1)
@@ -224,3 +227,124 @@ def test_noise_on_idle_spin(scale, case, axis, data):
     assert report.exact == clean.exact
     if report.exact and report.verified is not None:
         assert report.verified
+
+
+# Angles where the back end's special cases sit: zero and the 2*pi / 4*pi
+# periods (wrapping), and values either side of ANGLE_EPS (dropping).
+EPS = reduction.ANGLE_EPS
+edge_angles = st.sampled_from(
+    [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 4 * math.pi,
+     -4 * math.pi, 8 * math.pi, -12 * math.pi, 4 * math.pi + EPS / 2,
+     EPS, -EPS, EPS / 2, -EPS / 2, 1.5 * EPS, -1.5 * EPS]
+)
+plan_angles = st.one_of(edge_angles, st.floats(-20, 20, allow_nan=False))
+
+
+@st.composite
+def words(draw, n):
+    support = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    text = ["0"] * n
+    for spin in support:
+        text[spin - 1] = draw(st.sampled_from("xyz"))
+    return PauliString.from_string("".join(text))
+
+
+@st.composite
+def plans(draw):
+    """1-12 single ops on n <= 6 spins.  Ops draw from a small word pool so
+    that neighbours often share a target and the peephole merges them."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(words(n), min_size=1, max_size=4))
+    ops = tuple(
+        SingleOp(draw(st.sampled_from(pool)), draw(plan_angles))
+        for _ in range(draw(st.integers(1, 12)))
+    )
+    dropped = draw(st.one_of(st.just(0.0), st.floats(-10, 10, allow_nan=False)))
+    return DecompositionPlan(n, ops, True, "commuting", dropped_identity=dropped)
+
+
+def same_sequence(a, b):
+    return a.num_spins == b.num_spins and a.ops == b.ops and (
+        repr(a.global_phase) == repr(b.global_phase)
+    )
+
+
+@pytest.mark.parametrize("allow_z", [False, True])
+@pytest.mark.parametrize("use_pseudo_cnot", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(plans())
+def test_reduce_plan_matches_recursive_reduction(allow_z, use_pseudo_cnot, plan):
+    options = dict(allow_z=allow_z, use_pseudo_cnot=use_pseudo_cnot)
+    raw = reduction.reduce_plan(plan, merge=False, **options)
+    assert same_sequence(raw, backend_oracle.reduce_plan(plan, merge=False, **options))
+    merged = reduction.reduce_plan(plan, **options)
+    assert same_sequence(merged, backend_oracle.reduce_plan(plan, **options))
+    assert same_sequence(merged, reduction.peephole(raw))
+    assert formats.format_sequence(merged) == formats.format_sequence(
+        backend_oracle.peephole(raw)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(plans(), st.booleans())
+def test_public_reduction_pieces_match_recursive_reduction(plan, use_pseudo_cnot):
+    for op in plan.ops:
+        assert reduction.axis_transform(op) == backend_oracle.axis_transform(op)
+        _, core, _ = reduction.axis_transform(op)
+        assert reduction.reduce_coupling_order(
+            core, use_pseudo_cnot
+        ) == backend_oracle.reduce_coupling_order(core, use_pseudo_cnot)
+        spin = op.s.support()[0]
+        assert reduction.composite_z(spin, op.angle) == backend_oracle.composite_z(spin, op.angle)
+    for i, j in [(1, 2), (3, 1)]:
+        assert reduction.cnot_sequence(i, j) == backend_oracle.cnot_sequence(i, j)
+        for inverse in (False, True):
+            assert reduction.pseudo_cnot(i, j, inverse) == backend_oracle.pseudo_cnot(
+                i, j, inverse
+            )
+
+
+@st.composite
+def peephole_inputs(draw):
+    """Raw pulse lists with repeated targets and edge angles."""
+    n = draw(st.integers(2, 4))
+    targets = [("R", spin, axis) for spin in range(1, n + 1) for axis in "xyz"]
+    targets += [("J", i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pool = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=3))
+    ops = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind, a, b = draw(st.sampled_from(pool))
+        angle = draw(plan_angles)
+        ops.append(Rotation(a, b, angle) if kind == "R" else Coupling(a, b, angle))
+    return PulseSequence(n, ops, draw(st.floats(-4, 4, allow_nan=False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(peephole_inputs())
+def test_peephole_matches_replace_based_peephole(seq):
+    assert same_sequence(reduction.peephole(seq), backend_oracle.peephole(seq))
+
+
+@st.composite
+def edge_pulse_sequences(draw):
+    """pulse_sequences with some rotation angles moved to edge_angles."""
+    seq = draw(pulse_sequences())
+    ops = []
+    for op in seq.ops:
+        if isinstance(op, Rotation) and draw(st.booleans()):
+            op = Rotation(op.spin, op.axis, draw(edge_angles))
+        ops.append(op)
+    return PulseSequence(seq.num_spins, ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from("xyz"), st.one_of(edge_angles, st.floats(-1e3, 1e3, allow_nan=False)))
+def test_rotation_entries_match_matrix_expression_bit_for_bit(axis, angle):
+    expected = sim._exp_sigma(angle, pauli.SIGMA[axis])
+    assert sim._rotation(axis, angle).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(pulse_sequences(), edge_pulse_sequences()))
+def test_simulate_matches_eye_based_simulate_bit_for_bit(seq):
+    assert sim.simulate(seq).tobytes() == backend_oracle.simulate(seq).tobytes()
