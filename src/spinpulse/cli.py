@@ -15,9 +15,8 @@ import sys
 
 import numpy as np
 
-from . import formats, gates, generator, pipeline, sim
+from . import decompose, formats, gates, generator, linalg, pipeline, sim
 from .generator import BranchConvention
-from .linalg import num_spins_for_dim
 
 # Hard ceiling on compilation size: the basis expansion is 4**n.
 MAX_COMPILE_SPINS = 10
@@ -83,6 +82,10 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--num-spins", type=int, help="register size (default: smallest that fits)"
     )
+    parser.add_argument(
+        "--tol", type=float, default=linalg.DEFAULT_TOL,
+        help="input tolerance; verification compares at 10*tol",
+    )
 
 
 def _add_branch_option(parser: argparse.ArgumentParser) -> None:
@@ -129,7 +132,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_compile(args) -> int:
     u = _load_target(args)
-    n = num_spins_for_dim(u.shape[0])
+    n = linalg.num_spins_for_dim(u.shape[0])
     if n > MAX_COMPILE_SPINS:
         raise ValueError(f"{n} spins exceeds the compile limit {MAX_COMPILE_SPINS}")
     if n > pipeline.DEFAULT_VERIFY_LIMIT:
@@ -167,7 +170,7 @@ def cmd_compile(args) -> int:
 def cmd_expand(args) -> int:
     u = _load_target(args)
     g = generator.extract_generator(u, BranchConvention(args.branch), args.tol)
-    expansion = generator.expand(g)
+    expansion = generator.expand(g, args.tol)
     sys.stdout.write(generator.format_expansion(expansion) + "\n")
     return 0
 
@@ -194,7 +197,7 @@ def cmd_verify(args) -> int:
             f"dimension {target.shape[0]}"
         )
     # phase is reported so that simulated == e^{i*phase} * target
-    comparison = sim.equal_up_to_phase(simulated, target, args.tol)
+    comparison = sim.equal_up_to_phase(simulated, target, 10 * args.tol)
     print(f"residual {comparison.residual:.6e}")
     print(f"phase {formats.format_float(comparison.phase)}")
     return 0 if comparison.equal else 3
@@ -215,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--full-cnot", action="store_true",
         help="use full controlled-flip sandwiches instead of the pseudo variant",
     )
-    p.add_argument("--trotter-steps", type=int, default=64, metavar="K")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument(
+        "--trotter-steps", type=int, default=decompose.DEFAULT_TROTTER_STEPS, metavar="K"
+    )
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", metavar="FILE", help="write the sequence here instead of stdout")
@@ -225,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="print the generator expansion table")
     _add_input_options(p)
     _add_branch_option(p)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("simulate", help="render the matrix of a sequence file")
@@ -237,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a sequence against a gate or matrix")
     p.add_argument("sequence", help="pulse sequence file")
     _add_input_options(p)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     return parser

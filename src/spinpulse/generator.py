@@ -19,10 +19,6 @@ import numpy as np
 from . import linalg, pauli
 from .pauli import PauliString
 
-# Coefficients below this are numerical noise: exact gate inputs produce
-# exact multiples of pi/8 or zeros.
-COEFF_TOL = 1e-10
-
 
 class BranchConvention(enum.Enum):
     """Interval the eigenphases are folded into."""
@@ -157,9 +153,10 @@ def extract_generator(
     identity are split off first: only the active core is diagonalized, and
     g is g_core (x) I on the original spin axes.
 
-    This is the unitarity test: ValueError unless u is square, its core is
-    normal within max(10*tol, 1e-10) with ||lambda| - 1| < tol (eig_unitary)
-    and every peeled spin is idle within tol.
+    This is the unitarity test of the tolerance model (see CompileOptions):
+    ValueError unless u is square, every peeled spin is idle within tol, the
+    core passes eig_unitary's 10*tol spectral check and exp(-i*g) rebuilds u
+    within 10*tol.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -218,31 +215,26 @@ def _sigma_coefficients(m: np.ndarray) -> np.ndarray:
     return t.reshape(-1) / dim
 
 
-def expand(
-    g: np.ndarray, num_spins: int | None = None, tol: float = COEFF_TOL
-) -> GeneratorExpansion:
+def expand(g: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> GeneratorExpansion:
     """Expand Hermitian g over the basis words.
 
     The coefficient of a nonzero-weight word s is
-    trace(g @ materialize(s)) / 2**(n-2); imaginary residues above tol are
-    an error, magnitudes below tol are dropped.
+    trace(g @ materialize(s)) / 2**(n-2).  g is Hermitian iff every
+    coefficient is real, so an imaginary residue above tol is the
+    non-Hermitian error; words with magnitudes below tol are dropped.  The
+    identity coefficient is kept at any size: it costs no pulse and goes to
+    the phase ledger.
     """
     g = np.asarray(g, dtype=complex)
     n = linalg.num_spins_for_dim(g.shape[0])
-    if num_spins is not None and num_spins != n:
-        raise ValueError(f"dimension {g.shape[0]} does not match {num_spins} spins")
-    linalg.require_hermitian(g, max(tol, linalg.DEFAULT_TOL))
-
     sigma_coeffs = _sigma_coefficients(g)
-    worst_imag = float(np.max(np.abs(sigma_coeffs.imag))) if sigma_coeffs.size else 0.0
+    worst_imag = float(np.max(np.abs(sigma_coeffs.imag)))
     if worst_imag > tol:
         raise ValueError(f"imaginary coefficient residue {worst_imag:.3e} exceeds {tol:.1e}")
 
     # Basis operators are sigma-strings over two, so their coefficients are
     # twice the sigma coefficients; the identity keeps the raw value.
     identity_coeff = float(sigma_coeffs[0].real)
-    if abs(identity_coeff) < tol:
-        identity_coeff = 0.0
     values = 2 * sigma_coeffs.real
     coeffs: dict[PauliString, float] = {}
     for index in np.nonzero(np.abs(values) >= tol)[0]:

@@ -40,6 +40,9 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """ValueError unless u @ u† is within tol of the identity.  Not part of
+    the compile tolerance model (see pipeline.CompileOptions): a compile
+    tests unitarity in generator.extract_generator."""
     if not is_unitary(u, tol):
         raise ValueError(f"matrix is not unitary within tolerance {tol}")
 
@@ -78,7 +81,8 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
 
     Unitarity is read off the result instead of a separate u @ u† check: u
     is unitary iff a unitary t diagonalizes it (u is normal) and every
-    eigenvalue has modulus one.  Raises ValueError when either fails.
+    eigenvalue has modulus one.  Raises ValueError when the off-diagonal
+    weight t leaves or some ||lambda| - 1| exceeds 10*tol.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -89,7 +93,7 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     if off_diag < tol:
         # Already diagonal: keep the input basis and ordering.
         eigenvalues = np.diag(u).copy()
-        _require_unit_moduli(eigenvalues, tol)
+        _require_unitary_spectrum(eigenvalues, off_diag, tol)
         return EigenDecomposition(eigenvalues, np.eye(dim, dtype=complex), off_diag)
 
     h1 = (u + u.conj().T) / 2
@@ -112,15 +116,14 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     diag = t @ u @ t.conj().T
     eigenvalues = np.diag(diag).copy()
     # A non-normal input leaves off-diagonal weight no unitary t removes.
-    if max_abs_diff(diag, np.diag(eigenvalues)) > max(10 * tol, 1e-10):
-        raise ValueError(f"matrix is not unitary within tolerance {tol}")
-    _require_unit_moduli(eigenvalues, tol)
+    _require_unitary_spectrum(eigenvalues, max_abs_diff(diag, np.diag(eigenvalues)), tol)
     return EigenDecomposition(eigenvalues, t)
 
 
-def _require_unit_moduli(eigenvalues: np.ndarray, tol: float) -> None:
-    if eigenvalues.size and np.max(np.abs(np.abs(eigenvalues) - 1)) >= tol:
-        raise ValueError(f"matrix is not unitary within tolerance {tol}")
+def _require_unitary_spectrum(eigenvalues: np.ndarray, off_weight: float, tol: float) -> None:
+    moduli = np.max(np.abs(np.abs(eigenvalues) - 1)) if eigenvalues.size else 0.0
+    if max(off_weight, moduli) > 10 * tol:
+        raise ValueError(f"matrix is not unitary within tolerance {10 * tol:.1e}")
 
 
 def matrix_exp_hermitian(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

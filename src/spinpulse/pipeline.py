@@ -18,6 +18,31 @@ DEFAULT_VERIFY_LIMIT = 6
 
 @dataclass(frozen=True)
 class CompileOptions:
+    """Settings of one compile.
+
+    Tolerance model: `tol` is the one input tolerance, and every threshold
+    a compile applies derives from it.
+    - Unitary (extract_generator): a spin is split off as idle when it
+      moves u by less than tol; the remaining core must be normal, with
+      every ||lambda| - 1|, within 10*tol (linalg.eig_unitary); and
+      exp(-i*g) must rebuild u within 10*tol, the idle spins' deviations
+      included.  Otherwise u is rejected as not unitary.
+    - Degenerate: eigenvalues within 10*tol share one eigenphase.
+    - Nonzero (generator.expand): a word whose coefficient has magnitude
+      below tol is dropped, and an imaginary coefficient residue above tol
+      rejects g as not Hermitian.  The identity coefficient is never
+      dropped: it costs no pulse and goes to the phase ledger.
+    - Equal (sim.equal_up_to_phase): a sequence verifies when its simulated
+      matrix, times the phase of tr(simulated† u), matches u entry by entry
+      within 10*tol; `spinpulse verify` compares at the same bound.
+    So an accepted input either takes an approximate route (exit 2) or
+    verifies within 10*tol; tests/test_tolerance.py checks this on inputs a
+    few tol away from exact gates.  reduction.ANGLE_EPS (1e-12) is a
+    rounding floor for cancelling pulse angles, not an input tolerance; the
+    pulses it drops stay within 10*tol only for tol above about 1e-13.
+    linalg.require_unitary is not part of the model.
+    """
+
     branch: BranchConvention = BranchConvention.PRINCIPAL_LOWER
     allow_z: bool = False
     use_pseudo_cnot: bool = True
@@ -39,7 +64,7 @@ class CompileReport:
 
     `verified` is None when verification was skipped; otherwise it records
     whether the simulated sequence matched the target up to global phase
-    within 10x the working tolerance.
+    within 10*tol (see CompileOptions).
     """
 
     sequence: PulseSequence
@@ -79,7 +104,7 @@ def compile_unitary(u: np.ndarray, options: CompileOptions | None = None) -> Com
     options = options or CompileOptions()
     u = np.asarray(u, dtype=complex)
     g = generator.extract_generator(u, options.branch, options.tol)
-    expansion = generator.expand(g)
+    expansion = generator.expand(g, options.tol)
     plan = decompose.plan(expansion, trotter_steps=options.trotter_steps)
     return _finish(plan, u, options)
 

@@ -89,20 +89,20 @@ class PhaseComparison(NamedTuple):
 def equal_up_to_phase(
     a: np.ndarray, b: np.ndarray, tol: float = linalg.DEFAULT_TOL
 ) -> PhaseComparison:
-    """Decide a == e^{i*phase} * b.
+    """Decide a == e^{i*phase} * b, every entry within tol.
 
-    The candidate phase comes from the largest-magnitude entry of b (robust
-    against the zeros of permutation-like gates); equality requires the
-    residual below tol and the ratio on the unit circle.
+    The phase is that of tr(b† a), which brings e^{i*phase} * b closest to
+    a in the Frobenius norm; it averages modulus noise over all entries
+    instead of reading it off one.  Trace-orthogonal inputs get phase 0;
+    only an all-zero b raises.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    r, c = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if b[r, c] == 0:
+    if not b.any():
         raise ValueError("cannot compare against the zero matrix")
-    ratio = a[r, c] / b[r, c]
-    residual = linalg.max_abs_diff(a, ratio * b)
-    equal = residual < tol and abs(abs(ratio) - 1.0) < tol
-    return PhaseComparison(equal, float(np.angle(ratio)), residual)
+    overlap = np.vdot(b, a)
+    factor = overlap / abs(overlap) if overlap else 1.0
+    residual = linalg.max_abs_diff(a, factor * b)
+    return PhaseComparison(residual < tol, float(np.angle(factor)), residual)

@@ -244,3 +244,41 @@ def test_tiny_cphase_compiles_at_tight_tol(capsys):
     assert code == 0
     assert "# phase 2.5e-10" in stdout.splitlines()
     assert formats.parse_sequence(stdout).ops == []
+
+
+def test_tiny_cphase_keeps_terms_above_tol(capsys):
+    # The z-word coefficients, 2.5e-12, are noise at the default tol but
+    # not at 1e-13.
+    argv = ["--gate", "cphase", "--phi", "1e-11", "--tol", "1e-13"]
+    code, stdout, _ = run(capsys, "compile", *argv)
+    assert code == 0
+    assert len(formats.parse_sequence(stdout).ops) == 7
+    code, stdout, _ = run(capsys, "expand", *argv)
+    assert code == 0
+    words = [line.split()[0] for line in stdout.splitlines() if not line.startswith("#")]
+    assert words == ["00", "0z", "z0", "zz"]
+
+
+def test_verify_agrees_with_compile_on_near_idle_spins(capsys, tmp_path):
+    # Each idle spin is off by 9e-10 < tol; together they leave a residual
+    # of 1.8e-9, which compile accepts at 10*tol and verify must too.
+    idle = np.diag([1, 1 + 9e-10])
+    path = tmp_path / "cnot_idle.txt"
+    path.write_text(formats.format_matrix(np.kron(np.kron(gates.cnot(), idle), idle)))
+    seq_path = tmp_path / "cnot_idle.seq"
+    code, _, _ = run(capsys, "compile", "--matrix", str(path), "--out", str(seq_path))
+    assert code == 0
+    code, stdout, _ = run(capsys, "verify", str(seq_path), "--matrix", str(path))
+    assert code == 0
+    assert float(stdout.split()[1]) == pytest.approx(1.8e-9, rel=1e-3)
+
+
+def test_verify_trace_orthogonal_mismatch_exits_3(capsys, tmp_path):
+    # The sequence simulates to -i*sigma_x, trace-orthogonal to sigma_z.
+    seq_path = tmp_path / "x.seq"
+    seq_path.write_text("spins 1\nR 1 x 3.141592653589793\n")
+    path = tmp_path / "z.txt"
+    path.write_text(formats.format_matrix(pauli.SIGMA["z"].astype(complex)))
+    code, stdout, _ = run(capsys, "verify", str(seq_path), "--matrix", str(path))
+    assert code == 3
+    assert stdout.splitlines()[0].startswith("residual")

@@ -103,11 +103,6 @@ def test_expand_rejects_non_hermitian():
         generator.expand(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_expand_rejects_wrong_spin_count():
-    with pytest.raises(ValueError):
-        generator.expand(np.zeros((4, 4)), num_spins=3)
-
-
 @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (4,), (2, 2, 2)])
 def test_extract_rejects_non_square_input(shape):
     with pytest.raises(ValueError, match="expected a square matrix"):

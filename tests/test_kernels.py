@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpulse import formats, gates, generator, linalg, pauli, reduction, sim
@@ -180,15 +180,15 @@ def test_embedded_core_compiles_to_relabelled_core_sequence(case):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 7), st.floats(-math.pi, math.pi, allow_nan=False))
+@example(n=1, phi=1e-12)
 def test_global_phase_compiles_to_empty_exact_ledger(n, phi):
     u = np.exp(1j * phi) * np.eye(2**n)
     report = compile_unitary(u, CompileOptions(verify=False))
     assert report.sequence.ops == []
     assert report.exact
     ledger = np.exp(1j * report.sequence.global_phase) * sim.simulate(report.sequence)
-    # expand drops coefficients below COEFF_TOL, the identity's included.
-    bound = generator.COEFF_TOL if abs(phi) < generator.COEFF_TOL else 1e-15
-    assert linalg.max_abs_diff(ledger, u) < bound
+    # The identity coefficient is never dropped, however small.
+    assert linalg.max_abs_diff(ledger, u) < 1e-15
 
 
 def idle_spin_noise(n, spin, axis, angle):

@@ -1,8 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpulse import formats, gates, linalg, pauli, pipeline, sim
 from spinpulse.decompose import FactorizedGenerator
+from spinpulse.generator import BranchConvention
 from spinpulse.pauli import PauliString
 from spinpulse.pulse import Rotation
 
@@ -163,3 +169,53 @@ def test_global_phase_ledger_is_exact_for_commuting_route():
             )
             < 1e-9
         )
+
+
+def _diagonal(rng):
+    n = int(rng.integers(1, 4))
+    return "commuting", np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 2**n)))
+
+
+def _two_anticommuting_words(rng):
+    """exp(-i*g) for g = c0*Id + c1*A + c2*B with A, B anticommuting; its
+    eigenphases c0 +- sqrt(c1**2 + c2**2) stay inside (-pi, pi)."""
+    n = int(rng.integers(1, 4))
+    words = pauli.enumerate_basis(n)[1:]
+    a = words[int(rng.integers(len(words)))]
+    partners = [w for w in words if not pauli.commutes(a, w)]
+    b = partners[int(rng.integers(len(partners)))]
+    c1, c2 = rng.choice([-1, 1], 2) * rng.uniform(0.1, 1, 2)
+    g = rng.uniform(-0.5, 0.5) * np.eye(2**n) + c1 * pauli.materialize(a)
+    g = g + c2 * pauli.materialize(b)
+    return "euler", linalg.matrix_exp_hermitian(g)
+
+
+def _embedded_gate(rng):
+    n = int(rng.integers(3, 6))
+    spins = [int(s) + 1 for s in rng.choice(n, 3, replace=False)]
+    if rng.integers(2):
+        u = gates.cnot(spins[0], spins[1], n)
+    else:
+        u = gates.toffoli(tuple(spins[:2]), spins[2], n)
+    return "commuting", np.exp(1j * rng.uniform(-math.pi, math.pi)) * u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([_diagonal, _two_anticommuting_words, _embedded_gate]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(itertools.product([False, True], repeat=2))),
+    st.sampled_from(list(BranchConvention)),
+)
+def test_global_phase_ledger_is_exact(build, seed, flags, branch):
+    """e^{i*phase} * simulate(seq) == u with no phase freedom, on every
+    exact route the input kind selects and for every reduction option."""
+    strategy, u = build(np.random.default_rng(seed))
+    allow_z, use_pseudo_cnot = flags
+    options = pipeline.CompileOptions(
+        branch=branch, allow_z=allow_z, use_pseudo_cnot=use_pseudo_cnot, verify=False
+    )
+    report = pipeline.compile_unitary(u, options)
+    assert report.exact and report.strategy == strategy
+    ledger = np.exp(1j * report.sequence.global_phase) * sim.simulate(report.sequence)
+    assert linalg.max_abs_diff(ledger, u) <= 10 * options.tol

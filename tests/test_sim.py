@@ -100,3 +100,11 @@ def test_equal_up_to_phase_symmetric_and_reflexive(rng):
 def test_different_magnitudes_rejected():
     comparison = sim.equal_up_to_phase(2 * np.eye(2), np.eye(2), 1e-9)
     assert not comparison.equal
+
+
+def test_equal_up_to_phase_trace_orthogonal():
+    # tr(sigma_z† sigma_x) = 0 leaves no phase to pick; the comparison
+    # still answers instead of raising.
+    comparison = sim.equal_up_to_phase(pauli.SIGMA["x"], pauli.SIGMA["z"], 1e-9)
+    assert not comparison.equal
+    assert comparison.residual == pytest.approx(1.0)
