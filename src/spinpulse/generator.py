@@ -221,9 +221,11 @@ def expand(g: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> GeneratorExpansion
     The coefficient of a nonzero-weight word s is
     trace(g @ materialize(s)) / 2**(n-2).  g is Hermitian iff every
     coefficient is real, so an imaginary residue above tol is the
-    non-Hermitian error; words with magnitudes below tol are dropped.  The
-    identity coefficient is kept at any size: it costs no pulse and goes to
-    the phase ledger.
+    non-Hermitian error.  Words are dropped smallest first while the summed
+    magnitude of the dropped coefficients stays below tol, so the dropped
+    part of g has operator norm below tol/2 at any spin count (a basis
+    operator has norm 1/2).  The identity coefficient is kept at any size:
+    it costs no pulse and goes to the phase ledger.
     """
     g = np.asarray(g, dtype=complex)
     n = linalg.num_spins_for_dim(g.shape[0])
@@ -236,10 +238,18 @@ def expand(g: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> GeneratorExpansion
     # twice the sigma coefficients; the identity keeps the raw value.
     identity_coeff = float(sigma_coeffs[0].real)
     values = 2 * sigma_coeffs.real
-    coeffs: dict[PauliString, float] = {}
-    for index in np.nonzero(np.abs(values) >= tol)[0]:
-        if index != 0:
-            coeffs[PauliString.from_index(int(index), n)] = float(values[index])
+    magnitudes = np.abs(values)
+    magnitudes[0] = 0.0
+    dropped = magnitudes < tol
+    if np.sum(magnitudes, where=dropped) >= tol:
+        small = np.nonzero(dropped)[0]
+        small = small[np.argsort(magnitudes[small], kind="stable")]
+        dropped[small[np.cumsum(magnitudes[small]) >= tol]] = False
+    dropped[0] = True
+    coeffs = {
+        PauliString.from_index(int(index), n): float(values[index])
+        for index in np.nonzero(~dropped)[0]
+    }
     return GeneratorExpansion(num_spins=n, coeffs=coeffs, identity_coeff=identity_coeff)
 
 

@@ -28,18 +28,20 @@ class CompileOptions:
       exp(-i*g) must rebuild u within 10*tol, the idle spins' deviations
       included.  Otherwise u is rejected as not unitary.
     - Degenerate: eigenvalues within 10*tol share one eigenphase.
-    - Nonzero (generator.expand): a word whose coefficient has magnitude
-      below tol is dropped, and an imaginary coefficient residue above tol
-      rejects g as not Hermitian.  The identity coefficient is never
-      dropped: it costs no pulse and goes to the phase ledger.
+    - Nonzero (generator.expand): words are dropped smallest first while
+      the summed magnitude of their coefficients stays below tol, so they
+      move exp(-i*g) by less than tol/2 at any spin count; an imaginary
+      coefficient residue above tol rejects g as not Hermitian.  The
+      identity coefficient is never dropped: it costs no pulse and goes to
+      the phase ledger.
     - Equal (sim.equal_up_to_phase): a sequence verifies when its simulated
       matrix, times the phase of tr(simulated† u), matches u entry by entry
       within 10*tol; `spinpulse verify` compares at the same bound.
     So an accepted input either takes an approximate route (exit 2) or
     verifies within 10*tol; tests/test_tolerance.py checks this on inputs a
     few tol away from exact gates.  reduction.ANGLE_EPS (1e-12) is a
-    rounding floor for cancelling pulse angles, not an input tolerance; the
-    pulses it drops stay within 10*tol only for tol above about 1e-13.
+    rounding floor for cancelling pulse angles, not an input tolerance; at
+    tol near 1e-12 or below, the pulses it drops can exceed 10*tol.
     linalg.require_unitary is not part of the model.
     """
 

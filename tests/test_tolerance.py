@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinpulse import gates, linalg
+from spinpulse import gates, generator, linalg, pauli
+from spinpulse.pauli import PauliString
 from spinpulse.pipeline import CompileOptions, compile_unitary
 
 TOLS = [1e-12, 1e-10, 1e-9, 1e-7, 1e-6]
@@ -74,3 +75,50 @@ def test_phase_with_modulus_noise_compiles():
     report = compile_unitary(u)
     assert report.exact and report.verified
     assert report.verification_residual == pytest.approx(3e-9, rel=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    tol=st.sampled_from(TOLS),
+    small=st.integers(1, 64),
+    large=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=6, tol=1e-9, small=64, large=0, seed=0)
+def test_dropped_words_move_generator_by_less_than_half_tol(n, tol, small, large, seed):
+    # Each small word is below tol, but together they need not be: the
+    # words expand drops must stay below tol/2 in operator norm at any n.
+    rng = np.random.default_rng(seed)
+    indices = rng.choice(np.arange(1, 4**n), size=min(small + large, 4**n - 1), replace=False)
+    scales = np.where(np.arange(indices.size) < small, tol, 1.0)
+    g = sum(
+        scale * rng.uniform(-1, 1) * pauli.materialize(PauliString.from_index(int(index), n))
+        for index, scale in zip(indices, scales)
+    )
+    dropped = g - generator.reconstruct(generator.expand(g, tol))
+    assert np.linalg.norm(dropped, 2) < tol / 2
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [
+        pytest.param(
+            1e-12,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="reduction.ANGLE_EPS (1e-12) drops the pulses of words near 1e-12",
+            ),
+        ),
+        *TOLS[1:],
+    ],
+)
+def test_many_commuting_words_below_tol_verify(tol):
+    # u = exp(-i*0.49*tol*(sum of the 31 non-identity z-words on 5 spins)).
+    # The sum is 31 on |00000> and -1 elsewhere.  Every basis coefficient
+    # (0.98*tol) is below tol, but dropping all 31 moves u by about 15*tol.
+    phases = np.full(32, -1.0)
+    phases[0] = 31.0
+    u = np.diag(np.exp(-0.49j * tol * phases))
+    report = compile_unitary(u, CompileOptions(tol=tol))
+    assert report.exact and report.verified
