@@ -18,7 +18,8 @@ import numpy as np
 from . import decompose, formats, gates, generator, linalg, pipeline, sim
 from .generator import BranchConvention
 
-# Hard ceiling on compilation size: the basis expansion is 4**n.
+# Hard ceiling on compilation size: a non-diagonal input's basis expansion
+# is 4**n (a diagonal one expands in 2**n).
 MAX_COMPILE_SPINS = 10
 
 _PI_FORM = re.compile(r"(?i)^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d+\.?\d*))?$")
@@ -137,8 +138,8 @@ def cmd_compile(args) -> int:
         raise ValueError(f"{n} spins exceeds the compile limit {MAX_COMPILE_SPINS}")
     if n > pipeline.DEFAULT_VERIFY_LIMIT:
         print(
-            f"warning: {n} spins; the basis expansion is 4**{n} and "
-            "verification is disabled", file=sys.stderr,
+            f"warning: {n} spins; verification is disabled above "
+            f"{pipeline.DEFAULT_VERIFY_LIMIT} spins", file=sys.stderr,
         )
     options = pipeline.CompileOptions(
         branch=BranchConvention(args.branch),

@@ -64,6 +64,31 @@ class GeneratorExpansion:
         return np.array_equal(parity, parity.T)
 
 
+def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
+    """Group indices in angle order: a value joins the current cluster while
+    it stays within tol of the cluster's first member, so no cluster grows
+    wider than tol however its members chain."""
+    order = np.argsort(np.angle(values), kind="stable").tolist()
+    points = values.tolist()
+    clusters: list[list[int]] = []
+    for idx in order:
+        if clusters and abs(points[idx] - points[clusters[-1][0]]) <= tol:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    # The angle sort cuts the unit circle at -pi.  The sweep goes on across
+    # the cut: the first cluster's members join the last cluster while they
+    # stay within tol of its first member.
+    if len(clusters) > 1:
+        head, first = points[clusters[-1][0]], clusters[0]
+        joined = 0
+        while joined < len(first) and abs(points[first[joined]] - head) <= tol:
+            joined += 1
+        clusters[-1] = first[:joined] + clusters[-1]
+        clusters[0] = first[joined:]
+    return [cluster for cluster in clusters if cluster]
+
+
 def eigenphase(eigenvalue: complex, branch: BranchConvention) -> float:
     """Fold the phase of lambda = e^{-i*theta} into the branch interval."""
     theta = -float(np.angle(eigenvalue))  # lands in [-pi, pi)
@@ -72,19 +97,16 @@ def eigenphase(eigenvalue: complex, branch: BranchConvention) -> float:
     return theta
 
 
-def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices whose complex values chain within tol of each other."""
-    order = np.argsort(np.angle(values), kind="stable")
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and abs(values[idx] - values[clusters[-1][-1]]) <= tol:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    # The angle sort cuts the unit circle at -pi; merge across the seam.
-    if len(clusters) > 1 and abs(values[clusters[0][0]] - values[clusters[-1][-1]]) <= tol:
-        clusters[0].extend(clusters.pop())
-    return clusters
+def _common_phases(eigenvalues: np.ndarray, branch: BranchConvention, tol: float) -> np.ndarray:
+    """eigenphase of each eigenvalue, every cluster of eigenvalues within
+    10*tol taking the phase of its normalized mean.  The division stays
+    per scalar: numpy's array division can round differently."""
+    phases = np.empty(eigenvalues.shape[0], dtype=float)
+    for cluster in _cluster_indices(eigenvalues, 10 * tol):
+        rep = np.mean(eigenvalues[cluster]) if len(cluster) > 1 else eigenvalues[cluster[0]]
+        rep /= abs(rep)
+        phases[cluster] = eigenphase(rep, branch)
+    return phases
 
 
 def _peel_idle_spins(
@@ -92,12 +114,14 @@ def _peel_idle_spins(
 ) -> tuple[np.ndarray, list[int], float]:
     """Split u ~= core (x) I over its idle spins.
 
-    A spin is idle when, on the (2**k, 2, rest) row and column view of the
-    current matrix, both off-diagonal blocks and the difference of the two
-    diagonal blocks stay below tol; its upper diagonal block becomes the
-    new, 4x smaller, matrix.  Returns the core, the 0-based spins it acts
-    on in increasing order, and the summed deviations: exp(-i*g_core) (x) I
-    is within that sum of u plus the core's own residual.
+    u is a matrix, or the diagonal of a diagonal one.  A spin is idle when,
+    on the (2**k, 2, rest) row and column view of the current core, both
+    off-diagonal blocks and the difference of the two diagonal blocks stay
+    below tol (a diagonal has no off-diagonal blocks); its upper diagonal
+    block becomes the new core, half as long.  Returns the core, the
+    0-based spins it acts on in increasing order, and the summed
+    deviations: exp(-i*g_core) (x) I is within that sum of u plus the
+    core's own residual.
     """
     core = u
     active: list[int] = []
@@ -106,12 +130,17 @@ def _peel_idle_spins(
         k = len(active)  # axis of `spin` in the current core
         half = core.shape[0] // 2
         rest = half >> k
-        v = core.reshape(2**k, 2, rest, 2**k, 2, rest)
-        spin_dev = max(np.max(np.abs(v[:, 0, :, :, 1])), np.max(np.abs(v[:, 1, :, :, 0])))
+        if core.ndim == 1:
+            v = core.reshape(2**k, 2, rest)
+            upper, lower, spin_dev = v[:, 0], v[:, 1], 0.0
+        else:
+            v = core.reshape(2**k, 2, rest, 2**k, 2, rest)
+            upper, lower = v[:, 0, :, :, 0], v[:, 1, :, :, 1]
+            spin_dev = max(np.max(np.abs(v[:, 0, :, :, 1])), np.max(np.abs(v[:, 1, :, :, 0])))
         if spin_dev < tol:
-            spin_dev = max(spin_dev, np.max(np.abs(v[:, 0, :, :, 0] - v[:, 1, :, :, 1])))
+            spin_dev = max(spin_dev, np.max(np.abs(upper - lower)))
         if spin_dev < tol:
-            core = v[:, 0, :, :, 0].reshape(half, half)
+            core = upper.reshape((half,) * core.ndim)
             deviation += float(spin_dev)
         else:
             active.append(spin)
@@ -151,44 +180,71 @@ def extract_generator(
     Eigenvalues within 10*tol of each other get one common phase so g stays
     well defined on degenerate subspaces.  Spins on which u acts as the
     identity are split off first: only the active core is diagonalized, and
-    g is g_core (x) I on the original spin axes.
+    g is g_core (x) I on the original spin axes.  When u is diagonal within
+    tol, so is g, and it comes back as its real diagonal: a vector of
+    length 2**n in the input basis and order.  Otherwise g is a matrix.
 
     This is the unitarity test of the tolerance model (see CompileOptions):
     ValueError unless u is square, every peeled spin is idle within tol, the
-    core passes eig_unitary's 10*tol spectral check and exp(-i*g) rebuilds u
+    core passes the 10*tol spectral check of linalg.eig_unitary (a diagonal
+    core: every ||lambda| - 1| within 10*tol) and exp(-i*g) rebuilds u
     within 10*tol.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     n = linalg.num_spins_for_dim(u.shape[0])
+    diagonal = np.diagonal(u)
+    # A unitary's columns have unit norm, so if it is diagonal within tol,
+    # sum |u_ii|**2 is within dim*tol**2 of dim.  This O(2**n) screen turns
+    # permutations away before the O(4**n) pass over the off-diagonal.
+    if u.shape[0] - np.vdot(diagonal, diagonal).real < 0.5:
+        magnitudes = np.abs(u)
+        np.fill_diagonal(magnitudes, 0.0)
+        off_diagonal = float(np.max(magnitudes))
+        if off_diagonal < tol:
+            return _diagonal_generator(diagonal, off_diagonal, n, branch, tol)
+
     core, active, deviation = _peel_idle_spins(u, n, tol)
     decomp = linalg.eig_unitary(core, tol)
-    lam = decomp.eigenvalues
-    phases = np.empty(lam.shape[0], dtype=float)
-    for cluster in _cluster_indices(lam, 10 * tol):
-        rep = np.mean(lam[cluster])
-        rep /= abs(rep)
-        phases[cluster] = eigenphase(rep, branch)
-    if decomp.off_diagonal is not None:
-        # t is the identity: the generator is diagonal and the
-        # reconstruction differs from u by its diagonal misfit and by the
-        # off-diagonal entries the input basis keeps.
-        g_core = np.diag(phases.astype(complex))
-        residual = max(decomp.off_diagonal, linalg.max_abs_diff(np.exp(-1j * phases), lam))
-    else:
-        t_dag = decomp.t.conj().T
-        g_core = (t_dag * phases) @ decomp.t
-        g_core = (g_core + g_core.conj().T) / 2
-        # exp(-i*g) shares g's eigenbasis, so the reconstruction is checked
-        # there instead of diagonalizing g a second time.
-        residual = linalg.max_abs_diff((t_dag * np.exp(-1j * phases)) @ decomp.t, core)
-    residual += deviation
+    phases = _common_phases(decomp.eigenvalues, branch, tol)
+    t_dag = decomp.t.conj().T
+    g_core = (t_dag * phases) @ decomp.t
+    g_core = (g_core + g_core.conj().T) / 2
+    # exp(-i*g) shares g's eigenbasis, so the reconstruction is checked
+    # there instead of diagonalizing g a second time.
+    residual = linalg.max_abs_diff((t_dag * np.exp(-1j * phases)) @ decomp.t, core)
+    _require_reconstruction(residual + deviation, tol)
+    return _embed(g_core, active, n)
+
+
+def _diagonal_generator(
+    diagonal: np.ndarray,
+    off_diagonal: float,
+    n: int,
+    branch: BranchConvention,
+    tol: float,
+) -> np.ndarray:
+    """extract_generator on the diagonal of a matrix whose largest
+    off-diagonal magnitude, `off_diagonal`, is below tol.  Peeling,
+    clustering and the checks run on the vector; the core's phases are
+    then broadcast over the idle spins' axes.  The off-diagonal entries are
+    in u but not in exp(-i*g), so they bound the reconstruction residual
+    from below."""
+    core, active, deviation = _peel_idle_spins(diagonal, n, tol)
+    linalg.require_unitary_spectrum(core, off_diagonal, tol)
+    phases = _common_phases(core, branch, tol)
+    residual = max(off_diagonal, linalg.max_abs_diff(np.exp(-1j * phases), core))
+    _require_reconstruction(residual + deviation, tol)
+    axes = [2 if spin in active else 1 for spin in range(n)]
+    return np.broadcast_to(phases.reshape(axes), (2,) * n).reshape(-1)
+
+
+def _require_reconstruction(residual: float, tol: float) -> None:
     if residual > 10 * tol:
         raise ValueError(
             f"generator reconstruction residual {residual:.3e} exceeds {10 * tol:.1e}"
         )
-    return _embed(g_core, active, n)
 
 
 def _sigma_coefficients(m: np.ndarray) -> np.ndarray:
@@ -215,10 +271,28 @@ def _sigma_coefficients(m: np.ndarray) -> np.ndarray:
     return t.reshape(-1) / dim
 
 
+def _walsh_coefficients(d: np.ndarray) -> np.ndarray:
+    """_sigma_coefficients of diag(d), over the z-words only: c[z] is the
+    coefficient of the word with z-mask z (a Walsh-Hadamard transform; Welch
+    et al., NJP 16:033040, 2014).  On a diagonal the butterfly's b and c
+    vanish, so one pass per spin maps the two entries a, d on that spin's
+    axis to [a + d, a - d]: n passes of O(2**n) work, in the same order and
+    with the same additions as the full butterfly, so the bits agree."""
+    dim = d.shape[0]
+    t = d
+    for spin in range(dim.bit_length() - 1):
+        t = t.reshape(2**spin, 2, -1)
+        a, d = t[:, 0], t[:, 1]
+        t = np.stack([a + d, a - d], axis=1)
+    return t.reshape(-1) / dim
+
+
 def expand(g: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> GeneratorExpansion:
     """Expand Hermitian g over the basis words.
 
-    The coefficient of a nonzero-weight word s is
+    g is a matrix, or the real diagonal of a diagonal one (as
+    extract_generator returns it), whose expansion holds z-words only.  The
+    coefficient of a nonzero-weight word s is
     trace(g @ materialize(s)) / 2**(n-2).  g is Hermitian iff every
     coefficient is real, so an imaginary residue above tol is the
     non-Hermitian error.  Words are dropped smallest first while the summed
@@ -227,9 +301,14 @@ def expand(g: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> GeneratorExpansion
     operator has norm 1/2).  The identity coefficient is kept at any size:
     it costs no pulse and goes to the phase ledger.
     """
-    g = np.asarray(g, dtype=complex)
+    g = np.asarray(g)
     n = linalg.num_spins_for_dim(g.shape[0])
-    sigma_coeffs = _sigma_coefficients(g)
+    if g.ndim == 1:
+        sigma_coeffs = _walsh_coefficients(g)
+        word = lambda index: PauliString(n, 0, index)  # noqa: E731
+    else:
+        sigma_coeffs = _sigma_coefficients(g)
+        word = lambda index: PauliString.from_index(index, n)  # noqa: E731
     worst_imag = float(np.max(np.abs(sigma_coeffs.imag)))
     if worst_imag > tol:
         raise ValueError(f"imaginary coefficient residue {worst_imag:.3e} exceeds {tol:.1e}")
@@ -246,10 +325,9 @@ def expand(g: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> GeneratorExpansion
         small = small[np.argsort(magnitudes[small], kind="stable")]
         dropped[small[np.cumsum(magnitudes[small]) >= tol]] = False
     dropped[0] = True
-    coeffs = {
-        PauliString.from_index(int(index), n): float(values[index])
-        for index in np.nonzero(~dropped)[0]
-    }
+    # z-words sort by z-mask as they do by basis index, so both index
+    # orders drop the same words.
+    coeffs = {word(int(index)): float(values[index]) for index in np.nonzero(~dropped)[0]}
     return GeneratorExpansion(num_spins=n, coeffs=coeffs, identity_coeff=identity_coeff)
 
 

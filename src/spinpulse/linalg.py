@@ -58,16 +58,10 @@ def require_hermitian(h: np.ndarray, tol: float = DEFAULT_TOL) -> None:
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral data of a unitary: t's rows are eigen-bras, so t @ u @ t† is
-    diagonal and equals diag(eigenvalues).
-
-    `off_diagonal` is set only when u was already diagonal within tol: t is
-    then the identity and this is the largest off-diagonal magnitude of u,
-    which the input basis leaves in place.
-    """
+    diagonal and equals diag(eigenvalues)."""
 
     eigenvalues: np.ndarray
     t: np.ndarray
-    off_diagonal: float | None = None
 
 
 def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
@@ -88,14 +82,6 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     dim = u.shape[0]
-
-    off_diag = max_abs_diff(u, np.diag(np.diag(u)))
-    if off_diag < tol:
-        # Already diagonal: keep the input basis and ordering.
-        eigenvalues = np.diag(u).copy()
-        _require_unitary_spectrum(eigenvalues, off_diag, tol)
-        return EigenDecomposition(eigenvalues, np.eye(dim, dtype=complex), off_diag)
-
     h1 = (u + u.conj().T) / 2
     h2 = (u - u.conj().T) / 2j
     w, v = np.linalg.eigh(h1)
@@ -116,11 +102,13 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     diag = t @ u @ t.conj().T
     eigenvalues = np.diag(diag).copy()
     # A non-normal input leaves off-diagonal weight no unitary t removes.
-    _require_unitary_spectrum(eigenvalues, max_abs_diff(diag, np.diag(eigenvalues)), tol)
+    require_unitary_spectrum(eigenvalues, max_abs_diff(diag, np.diag(eigenvalues)), tol)
     return EigenDecomposition(eigenvalues, t)
 
 
-def _require_unitary_spectrum(eigenvalues: np.ndarray, off_weight: float, tol: float) -> None:
+def require_unitary_spectrum(eigenvalues: np.ndarray, off_weight: float, tol: float) -> None:
+    """ValueError unless the weight a diagonalizing basis leaves off the
+    diagonal and every ||lambda| - 1| stay within 10*tol."""
     moduli = np.max(np.abs(np.abs(eigenvalues) - 1)) if eigenvalues.size else 0.0
     if max(off_weight, moduli) > 10 * tol:
         raise ValueError(f"matrix is not unitary within tolerance {10 * tol:.1e}")

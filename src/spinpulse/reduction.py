@@ -22,8 +22,11 @@ from .pulse import Coupling, PulseOp, PulseSequence, Rotation
 
 HALF_PI = math.pi / 2
 
-# Angles below this merge away as identity.
-ANGLE_EPS = 1e-12
+# Angles below this merge away as identity.  A rounding floor, not an input
+# tolerance: two pulses that cancel merge to a few ulps of 4*pi (about
+# 2.8e-15), so it sits just above that, and a pulse it drops moves the
+# sequence by less than 1e-14.
+ANGLE_EPS = 1e-14
 
 # The five-pulse controlled-flip sequence realizes the textbook gate times
 # this phase factor.

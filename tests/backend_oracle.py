@@ -2,7 +2,8 @@
 verbatim as an oracle: `reduce_plan` (with the recursive
 `reduce_coupling_order` and a second pass that expands z rotations),
 `peephole` (built on `dataclasses.replace`) and `simulate` (one `np.eye`
-per rotation).  tests/test_kernels.py requires the package's passes to
+per rotation).  Only the rounding floor ANGLE_EPS is shared with the
+package.  tests/test_kernels.py requires the package's passes to
 reproduce these bit for bit."""
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from spinpulse import pauli
 from spinpulse.decompose import DecompositionPlan, SingleOp
 from spinpulse.pauli import PauliString
 from spinpulse.pulse import Coupling, PulseOp, PulseSequence, Rotation
+from spinpulse.reduction import ANGLE_EPS
 
 HALF_PI = math.pi / 2
-ANGLE_EPS = 1e-12
 CNOT_SEQUENCE_PHASE = -math.pi / 4
 
 

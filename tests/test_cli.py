@@ -259,6 +259,29 @@ def test_tiny_cphase_keeps_terms_above_tol(capsys):
     assert words == ["00", "0z", "z0", "zz"]
 
 
+def test_tiny_cphase_compiles_above_angle_floor(capsys, tmp_path):
+    # Pulse angles near 1e-13 sit above reduction.ANGLE_EPS, so they are
+    # kept at tol 1e-14 and the sequence verifies.
+    argv = ["--gate", "cphase", "--phi", "3e-13", "--tol", "1e-14"]
+    out = tmp_path / "floor.seq"
+    code, _, _ = run(capsys, "compile", *argv, "--out", str(out))
+    assert code == 0
+    assert len(formats.parse_sequence(out.read_text()).ops) == 7
+    code, _, _ = run(capsys, "verify", str(out), *argv)
+    assert code == 0
+
+
+def test_ten_spin_diagonal_compiles(capsys):
+    marked = [str(index) for index in range(0, 1024, 3)]
+    code, stdout, stderr = run(
+        capsys, "compile", "--gate", "fphase", "--num-spins", "10", "--marked", *marked,
+        "--no-verify",
+    )
+    assert code == 0
+    assert len(formats.parse_sequence(stdout).ops) == 2755
+    assert "warning: 10 spins; verification is disabled above 6 spins" in stderr
+
+
 def test_verify_agrees_with_compile_on_near_idle_spins(capsys, tmp_path):
     # Each idle spin is off by 9e-10 < tol; together they leave a residual
     # of 1.8e-9, which compile accepts at 10*tol and verify must too.

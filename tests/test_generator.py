@@ -14,12 +14,12 @@ def word(text):
 
 def test_identity_has_zero_generator():
     g = generator.extract_generator(np.eye(4, dtype=complex))
-    assert linalg.max_abs_diff(g, np.zeros((4, 4))) < 1e-12
+    assert linalg.max_abs_diff(np.diag(g), np.zeros((4, 4))) < 1e-12
 
 
 def test_controlled_phase_generator_lower_branch():
     u = np.diag([1, 1, 1, -1]).astype(complex)
-    g = generator.extract_generator(u, BranchConvention.PRINCIPAL_LOWER)
+    g = np.diag(generator.extract_generator(u, BranchConvention.PRINCIPAL_LOWER))
     # Lower branch sends the -1 eigenvalue to phase -pi, so the generator is
     # -pi times the projector onto the doubly-excited state.
     np.testing.assert_allclose(g, np.diag([0, 0, 0, -np.pi]), atol=1e-12)
@@ -33,6 +33,20 @@ def test_controlled_phase_generator_lower_branch():
     # Both sides of the round trip, against the matrix oracle.
     assert linalg.max_abs_diff(generator.reconstruct(expansion), g) < 1e-12
     assert linalg.max_abs_diff(linalg.matrix_exp_hermitian(g), u) < 1e-12
+
+
+def test_diagonal_input_keeps_basis_and_order():
+    # The generator of a diagonal unitary is its eigenphase vector, in the
+    # input basis and order: no eigendecomposition reorders it.
+    u = np.diag([1.0 + 0j, -1.0 + 0j])
+    lower = generator.extract_generator(u, BranchConvention.PRINCIPAL_LOWER)
+    upper = generator.extract_generator(u, BranchConvention.PRINCIPAL_UPPER)
+    np.testing.assert_array_equal(lower, [0.0, -np.pi])
+    np.testing.assert_array_equal(upper, [0.0, np.pi])
+    phases = np.array([0.3, -1.2, 2.5, 0.0])
+    g = generator.extract_generator(np.diag(np.exp(-1j * phases)))
+    assert g.shape == (4,) and g.dtype == float
+    np.testing.assert_allclose(g, phases, atol=1e-15)
 
 
 TOFFOLI_COEFFS = {
@@ -119,8 +133,8 @@ def test_extraction_is_phase_exact(rng, n):
 
 def test_branch_changes_generator_not_unitary():
     u = np.diag([1, 1, 1, -1]).astype(complex)
-    lower = generator.extract_generator(u, BranchConvention.PRINCIPAL_LOWER)
-    upper = generator.extract_generator(u, BranchConvention.PRINCIPAL_UPPER)
+    lower = np.diag(generator.extract_generator(u, BranchConvention.PRINCIPAL_LOWER))
+    upper = np.diag(generator.extract_generator(u, BranchConvention.PRINCIPAL_UPPER))
     assert linalg.max_abs_diff(lower, upper) > 1
     # The two differ by 2*pi on the flipped eigenspace projector.
     np.testing.assert_allclose(upper - lower, 2 * np.pi * np.diag([0, 0, 0, 1]), atol=1e-12)

@@ -2,8 +2,10 @@
 definitions: the butterfly expansion against the trace formula, in-place
 simulation against a product of kron-built pulse matrices, the vectorized
 commutation check against the pairwise one, idle-spin extraction
-against a kron-built embedding of the core's generator, and the one-pass
-pulse back end against its earlier form (backend_oracle.py)."""
+against a kron-built embedding of the core's generator, the diagonal
+path (generator vector and Walsh-Hadamard expansion) against the matrix
+path, and the one-pass pulse back end against its earlier form
+(backend_oracle.py)."""
 
 import math
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from spinpulse import formats, gates, generator, linalg, pauli, reduction, sim
 from spinpulse.decompose import DecompositionPlan, SingleOp
-from spinpulse.generator import GeneratorExpansion
+from spinpulse.generator import BranchConvention, GeneratorExpansion
 from spinpulse.pauli import PauliString
 from spinpulse.pipeline import CompileOptions, compile_unitary
 from spinpulse.pulse import Coupling, PulseSequence, Rotation
@@ -221,12 +223,95 @@ def test_noise_on_idle_spin(scale, case, axis, data):
     g = generator.extract_generator(u, tol=tol)
     on_spin = {word.axis(spin + 1) for word in generator.expand(g).coeffs} - {"0"}
     assert axis in on_spin if scale > 1 else not on_spin
+    g = np.diag(g) if g.ndim == 1 else g  # a diagonal u gives its diagonal
     assert linalg.max_abs_diff(linalg.matrix_exp_hermitian(g), u) <= 10 * tol
     report = compile_unitary(u, CompileOptions(trotter_steps=1))
     clean = compile_unitary(place(core, active, n), CompileOptions(trotter_steps=1))
     assert report.exact == clean.exact
     if report.exact and report.verified is not None:
         assert report.verified
+
+
+def z_word_diagonals(k):
+    """Row m: the diagonal of the sigma z-word with z-mask m on k spins,
+    (-1)**popcount(b & m) at basis index b."""
+    b = np.arange(2**k)
+    masked = b[:, None] & b
+    return 1.0 - 2 * (np.unpackbits(masked.astype(">u2").view(np.uint8), axis=1).sum(axis=1) % 2)
+
+
+@st.composite
+def diagonal_unitaries(draw):
+    """(u, branch, tol): a diagonal unitary on n <= 7 spins that is constant
+    along random idle spins.  The core's eigenvalues are uniform phases, or
+    +-1 and +-i exactly (the -1s on the branch cut, most of them
+    degenerate), or a few repeated phases; optionally times
+    exp(-i*sum_w c_w sigma_w) over random z-words w with |c_w| < tol/2, whose
+    basis coefficients 2*c_w are below tol."""
+    n = draw(st.integers(1, 7))
+    active = sorted(draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)))
+    k = len(active)
+    rng = np.random.default_rng(draw(seeds))
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    kind = draw(st.sampled_from(["uniform", "cut", "repeated"]))
+    if kind == "uniform":
+        lam = np.exp(-1j * rng.uniform(-math.pi, math.pi, 2**k))
+    elif kind == "cut":
+        lam = rng.choice(np.array([1, -1, 1j, -1j], dtype=complex), 2**k)
+    else:
+        lam = np.exp(-1j * rng.choice(rng.uniform(-math.pi, math.pi, 3), 2**k))
+    if draw(st.booleans()):
+        c = rng.uniform(-tol / 2, tol / 2, 2**k) * (rng.random(2**k) < 0.3)
+        lam = lam * np.exp(-1j * (z_word_diagonals(k) @ c))
+    axes = [2 if spin in active else 1 for spin in range(n)]
+    u = np.diag(np.broadcast_to(lam.reshape(axes), (2,) * n).reshape(-1))
+    return u, draw(st.sampled_from(list(BranchConvention))), tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_unitaries())
+def test_diagonal_generator_expands_as_its_matrix(case):
+    u, branch, tol = case
+    g = generator.extract_generator(u, branch, tol)
+    assert g.shape == (u.shape[0],) and g.dtype == float
+    assert linalg.max_abs_diff(np.exp(-1j * g), np.diag(u)) <= 10 * tol  # input order
+    vector = generator.expand(g, tol)
+    matrix = generator.expand(np.diag(g), tol)
+    assert list(vector.coeffs.items()) == list(matrix.coeffs.items())
+    assert vector.identity_coeff == matrix.identity_coeff
+    assert all(word.x == 0 for word in vector.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_unitaries().filter(lambda case: case[0].shape[0] <= 64))
+def test_diagonal_compile_ledger_is_exact(case):
+    u, branch, tol = case
+    report = compile_unitary(u, CompileOptions(branch=branch, tol=tol))
+    assert report.exact and report.verified
+    ledger = np.exp(1j * report.sequence.global_phase) * sim.simulate(report.sequence)
+    assert linalg.max_abs_diff(ledger, u) <= 10 * tol
+
+
+def test_non_unitary_diagonal_is_rejected():
+    with pytest.raises(ValueError, match="not unitary"):
+        generator.extract_generator(np.diag([2.0 + 0j, 1.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_small_off_diagonal_takes_matrix_path(n):
+    # A rotation by 10*tol between two basis states: diagonal up to an
+    # entry of 10*tol, so not diagonal within tol.  With neighbouring
+    # eigenvalues chained into one cluster, this compiled to an empty
+    # sequence that failed verification.
+    tol = linalg.DEFAULT_TOL
+    u = np.eye(2**n, dtype=complex)
+    b1, b2 = 0, 2**n - 1
+    s = 10 * tol
+    u[b1, b1] = u[b2, b2] = math.sqrt(1 - s * s)
+    u[b1, b2], u[b2, b1] = -s, s
+    assert generator.extract_generator(u, tol=tol).ndim == 2
+    report = compile_unitary(u, CompileOptions(tol=tol))
+    assert report.exact and report.verified
 
 
 # Angles where the back end's special cases sit: zero and the 2*pi / 4*pi

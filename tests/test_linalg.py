@@ -13,12 +13,6 @@ def test_max_abs_diff_shape_check():
         linalg.max_abs_diff(np.eye(2), np.eye(4))
 
 
-def test_eig_diagonal_fast_path():
-    decomp = linalg.eig_unitary(np.diag([1.0 + 0j, -1.0 + 0j]))
-    np.testing.assert_array_equal(decomp.t, np.eye(2))
-    np.testing.assert_array_equal(decomp.eigenvalues, [1, -1])
-
-
 def test_eig_hadamard_like():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     decomp = linalg.eig_unitary(h)

@@ -100,19 +100,7 @@ def test_dropped_words_move_generator_by_less_than_half_tol(n, tol, small, large
     assert np.linalg.norm(dropped, 2) < tol / 2
 
 
-@pytest.mark.parametrize(
-    "tol",
-    [
-        pytest.param(
-            1e-12,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="reduction.ANGLE_EPS (1e-12) drops the pulses of words near 1e-12",
-            ),
-        ),
-        *TOLS[1:],
-    ],
-)
+@pytest.mark.parametrize("tol", TOLS)
 def test_many_commuting_words_below_tol_verify(tol):
     # u = exp(-i*0.49*tol*(sum of the 31 non-identity z-words on 5 spins)).
     # The sum is 31 on |00000> and -1 elsewhere.  Every basis coefficient
@@ -120,5 +108,23 @@ def test_many_commuting_words_below_tol_verify(tol):
     phases = np.full(32, -1.0)
     phases[0] = 31.0
     u = np.diag(np.exp(-0.49j * tol * phases))
+    report = compile_unitary(u, CompileOptions(tol=tol))
+    assert report.exact and report.verified
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_chained_eigenvalues_keep_clusters_narrow(tol):
+    # u = exp(-i*0.9*tol*h) with h the sum of +-sigma_w over all 63
+    # non-identity z-words on 6 spins, signs from default_rng(1).  Sorted by
+    # angle, neighbouring eigenvalues lie within 10*tol of each other over a
+    # span far wider than that; one phase for the whole chain missed u by
+    # 15*tol, so u was rejected as not unitary.
+    n = 6
+    signs = np.random.default_rng(1).choice([-1.0, 1.0], size=2**n - 1)
+    h = sum(
+        sign * 2 * np.diag(pauli.materialize(PauliString(n, 0, z))).real
+        for z, sign in enumerate(signs, start=1)
+    )
+    u = np.diag(np.exp(-0.9j * tol * h))
     report = compile_unitary(u, CompileOptions(tol=tol))
     assert report.exact and report.verified
