@@ -22,12 +22,16 @@ class CompileOptions:
 
     Tolerance model: `tol` is the one input tolerance, and every threshold
     a compile applies derives from it.
-    - Unitary (extract_generator): a spin is split off as idle when it
+    - Unitary (extract_generator): u counts as diagonal when every
+      off-diagonal entry is below tol; a spin is split off as idle when it
       moves u by less than tol; the remaining core must be normal, with
       every ||lambda| - 1|, within 10*tol (linalg.eig_unitary); and
       exp(-i*g) must rebuild u within 10*tol, the idle spins' deviations
       included.  Otherwise u is rejected as not unitary.
-    - Degenerate: eigenvalues within 10*tol share one eigenphase.
+    - Degenerate: in angle order, an eigenvalue joins the current cluster
+      while it stays within 10*tol of the cluster's first member, and a
+      cluster shares the phase of its mean; so a cluster is never wider
+      than 10*tol, however closely its neighbours chain.
     - Nonzero (generator.expand): words are dropped smallest first while
       the summed magnitude of their coefficients stays below tol, so they
       move exp(-i*g) by less than tol/2 at any spin count; an imaginary
@@ -39,9 +43,9 @@ class CompileOptions:
       within 10*tol; `spinpulse verify` compares at the same bound.
     So an accepted input either takes an approximate route (exit 2) or
     verifies within 10*tol; tests/test_tolerance.py checks this on inputs a
-    few tol away from exact gates.  reduction.ANGLE_EPS (1e-12) is a
+    few tol away from exact gates.  reduction.ANGLE_EPS (1e-14) is a
     rounding floor for cancelling pulse angles, not an input tolerance; at
-    tol near 1e-12 or below, the pulses it drops can exceed 10*tol.
+    tol near 1e-14 or below, the pulses it drops can exceed 10*tol.
     linalg.require_unitary is not part of the model.
     """
 
