@@ -89,23 +89,19 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     return [cluster for cluster in clusters if cluster]
 
 
-def eigenphase(eigenvalue: complex, branch: BranchConvention) -> float:
-    """Fold the phase of lambda = e^{-i*theta} into the branch interval."""
-    theta = -float(np.angle(eigenvalue))  # lands in [-pi, pi)
-    if branch is BranchConvention.PRINCIPAL_UPPER and theta <= -np.pi:
-        theta += 2 * np.pi
-    return theta
-
-
 def _common_phases(eigenvalues: np.ndarray, branch: BranchConvention, tol: float) -> np.ndarray:
-    """eigenphase of each eigenvalue, every cluster of eigenvalues within
-    10*tol taking the phase of its normalized mean.  The division stays
-    per scalar: numpy's array division can round differently."""
+    """Eigenphase theta of each eigenvalue lambda = e^{-i*theta}, folded into
+    the branch interval; every cluster of eigenvalues within 10*tol takes
+    the phase of its normalized mean.  The arithmetic stays per scalar:
+    numpy's array division can round differently."""
     phases = np.empty(eigenvalues.shape[0], dtype=float)
     for cluster in _cluster_indices(eigenvalues, 10 * tol):
         rep = np.mean(eigenvalues[cluster]) if len(cluster) > 1 else eigenvalues[cluster[0]]
         rep /= abs(rep)
-        phases[cluster] = eigenphase(rep, branch)
+        theta = -float(np.angle(rep))  # lands in [-pi, pi)
+        if branch is BranchConvention.PRINCIPAL_UPPER and theta <= -np.pi:
+            theta += 2 * np.pi
+        phases[cluster] = theta
     return phases
 
 
@@ -195,6 +191,7 @@ def extract_generator(
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     n = linalg.num_spins_for_dim(u.shape[0])
     diagonal = np.diagonal(u)
+    off_diagonal = np.inf
     # A unitary's columns have unit norm, so if it is diagonal within tol,
     # sum |u_ii|**2 is within dim*tol**2 of dim.  This O(2**n) screen turns
     # permutations away before the O(4**n) pass over the off-diagonal.
@@ -202,49 +199,33 @@ def extract_generator(
         magnitudes = np.abs(u)
         np.fill_diagonal(magnitudes, 0.0)
         off_diagonal = float(np.max(magnitudes))
-        if off_diagonal < tol:
-            return _diagonal_generator(diagonal, off_diagonal, n, branch, tol)
 
-    core, active, deviation = _peel_idle_spins(u, n, tol)
-    decomp = linalg.eig_unitary(core, tol)
-    phases = _common_phases(decomp.eigenvalues, branch, tol)
-    t_dag = decomp.t.conj().T
-    g_core = (t_dag * phases) @ decomp.t
-    g_core = (g_core + g_core.conj().T) / 2
-    # exp(-i*g) shares g's eigenbasis, so the reconstruction is checked
-    # there instead of diagonalizing g a second time.
-    residual = linalg.max_abs_diff((t_dag * np.exp(-1j * phases)) @ decomp.t, core)
-    _require_reconstruction(residual + deviation, tol)
-    return _embed(g_core, active, n)
-
-
-def _diagonal_generator(
-    diagonal: np.ndarray,
-    off_diagonal: float,
-    n: int,
-    branch: BranchConvention,
-    tol: float,
-) -> np.ndarray:
-    """extract_generator on the diagonal of a matrix whose largest
-    off-diagonal magnitude, `off_diagonal`, is below tol.  Peeling,
-    clustering and the checks run on the vector; the core's phases are
-    then broadcast over the idle spins' axes.  The off-diagonal entries are
-    in u but not in exp(-i*g), so they bound the reconstruction residual
-    from below."""
-    core, active, deviation = _peel_idle_spins(diagonal, n, tol)
-    linalg.require_unitary_spectrum(core, off_diagonal, tol)
-    phases = _common_phases(core, branch, tol)
-    residual = max(off_diagonal, linalg.max_abs_diff(np.exp(-1j * phases), core))
-    _require_reconstruction(residual + deviation, tol)
-    axes = [2 if spin in active else 1 for spin in range(n)]
-    return np.broadcast_to(phases.reshape(axes), (2,) * n).reshape(-1)
-
-
-def _require_reconstruction(residual: float, tol: float) -> None:
+    if off_diagonal < tol:
+        # Peel, cluster and check on the vector, then broadcast the core's
+        # phases over the idle spins' axes.  The off-diagonal entries are in
+        # u but not in exp(-i*g), so they count towards the residual.
+        core, active, deviation = _peel_idle_spins(diagonal, n, tol)
+        linalg.require_unitary_spectrum(core, off_diagonal, tol)
+        phases = _common_phases(core, branch, tol)
+        residual = max(off_diagonal, linalg.max_abs_diff(np.exp(-1j * phases), core))
+        axes = [2 if spin in active else 1 for spin in range(n)]
+        g = np.broadcast_to(phases.reshape(axes), (2,) * n).reshape(-1)
+    else:
+        core, active, deviation = _peel_idle_spins(u, n, tol)
+        decomp = linalg.eig_unitary(core, tol)
+        phases = _common_phases(decomp.eigenvalues, branch, tol)
+        t_dag = decomp.t.conj().T
+        g_core = (t_dag * phases) @ decomp.t
+        g = _embed((g_core + g_core.conj().T) / 2, active, n)
+        # exp(-i*g) shares g's eigenbasis, so the reconstruction is checked
+        # there instead of diagonalizing g a second time.
+        residual = linalg.max_abs_diff((t_dag * np.exp(-1j * phases)) @ decomp.t, core)
+    residual += deviation
     if residual > 10 * tol:
         raise ValueError(
             f"generator reconstruction residual {residual:.3e} exceeds {10 * tol:.1e}"
         )
+    return g
 
 
 def _sigma_coefficients(m: np.ndarray) -> np.ndarray:
@@ -303,12 +284,7 @@ def expand(g: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> GeneratorExpansion
     """
     g = np.asarray(g)
     n = linalg.num_spins_for_dim(g.shape[0])
-    if g.ndim == 1:
-        sigma_coeffs = _walsh_coefficients(g)
-        word = lambda index: PauliString(n, 0, index)  # noqa: E731
-    else:
-        sigma_coeffs = _sigma_coefficients(g)
-        word = lambda index: PauliString.from_index(index, n)  # noqa: E731
+    sigma_coeffs = _walsh_coefficients(g) if g.ndim == 1 else _sigma_coefficients(g)
     worst_imag = float(np.max(np.abs(sigma_coeffs.imag)))
     if worst_imag > tol:
         raise ValueError(f"imaginary coefficient residue {worst_imag:.3e} exceeds {tol:.1e}")
@@ -325,9 +301,14 @@ def expand(g: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> GeneratorExpansion
         small = small[np.argsort(magnitudes[small], kind="stable")]
         dropped[small[np.cumsum(magnitudes[small]) >= tol]] = False
     dropped[0] = True
-    # z-words sort by z-mask as they do by basis index, so both index
-    # orders drop the same words.
-    coeffs = {word(int(index)): float(values[index]) for index in np.nonzero(~dropped)[0]}
+    kept = np.nonzero(~dropped)[0].tolist()
+    if g.ndim == 1:
+        # z-words sort by z-mask as by basis index, so the stable sort above
+        # drops the words the matrix path would.
+        words = [PauliString(n, 0, z) for z in kept]
+    else:
+        words = [PauliString.from_index(index, n) for index in kept]
+    coeffs = dict(zip(words, values[kept].tolist()))
     return GeneratorExpansion(num_spins=n, coeffs=coeffs, identity_coeff=identity_coeff)
 
 

@@ -159,6 +159,18 @@ def test_degenerate_eigenvalues_get_common_phase(rng):
     np.testing.assert_allclose(sorted(eigenvalues), [-np.pi, -np.pi, 0, 0], atol=1e-8)
 
 
+def test_clusters_stay_narrow_next_to_the_cut():
+    # Eigenvalue angles (-9.9, 0, 9.9 x 6) * tol: the first two are one
+    # cluster and the six another.  The sweep goes on across the -pi cut
+    # from the last cluster's first member, which is 19.8*tol from the
+    # first cluster's first member, so the two stay apart; one shared mean
+    # would sit 16*tol from the first eigenvalue.
+    tol = 1e-9
+    angles = np.array([-9.9, 0, 9.9, 9.9, 9.9, 9.9, 9.9, 9.9]) * tol
+    g = generator.extract_generator(np.diag(np.exp(1j * angles)), tol=tol)
+    np.testing.assert_allclose(g, [4.95e-9, 4.95e-9] + [-9.9e-9] * 6, rtol=1e-6)
+
+
 def test_format_expansion_rendering():
     expansion = GeneratorExpansion(
         2, {word("z0"): np.pi / 2, word("0x"): -0.25}, identity_coeff=-np.pi / 4
