@@ -173,8 +173,9 @@ def extract_generator(
 ) -> np.ndarray:
     """Hermitian g with exp(-i*g) == u, eigenphases folded per `branch`.
 
-    Eigenvalues within 10*tol of each other get one common phase so g stays
-    well defined on degenerate subspaces.  Spins on which u acts as the
+    Eigenvalues within 10*tol of their cluster's first member (in angle
+    order) get one common phase so g stays well defined on degenerate
+    subspaces.  Spins on which u acts as the
     identity are split off first: only the active core is diagonalized, and
     g is g_core (x) I on the original spin axes.  When u is diagonal within
     tol, so is g, and it comes back as its real diagonal: a vector of

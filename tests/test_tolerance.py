@@ -117,8 +117,8 @@ def test_chained_eigenvalues_keep_clusters_narrow(tol):
     # u = exp(-i*0.9*tol*h) with h the sum of +-sigma_w over all 63
     # non-identity z-words on 6 spins, signs from default_rng(1).  Sorted by
     # angle, neighbouring eigenvalues lie within 10*tol of each other over a
-    # span far wider than that; one phase for the whole chain missed u by
-    # 15*tol, so u was rejected as not unitary.
+    # span far wider than that; one phase for the whole chain would miss u
+    # by 15*tol and reject it as not unitary.
     n = 6
     signs = np.random.default_rng(1).choice([-1.0, 1.0], size=2**n - 1)
     h = sum(
