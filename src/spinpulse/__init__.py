@@ -2,12 +2,7 @@
 single-spin x/y rotations and Ising couplings, verified by direct matrix
 simulation up to global phase."""
 
-from .decompose import (
-    DecompositionPlan,
-    FactorizedGenerator,
-    NotAllCommutingError,
-    SingleOp,
-)
+from .decompose import DecompositionPlan, FactorizedGenerator, SingleOp
 from .generator import BranchConvention, GeneratorExpansion, expand, extract_generator
 from .linalg import eig_unitary, matrix_exp_hermitian
 from .pauli import PauliString, commutator, commutes, enumerate_basis, materialize
@@ -25,7 +20,6 @@ __all__ = [
     "DecompositionPlan",
     "FactorizedGenerator",
     "GeneratorExpansion",
-    "NotAllCommutingError",
     "PauliString",
     "PulseOp",
     "PulseSequence",

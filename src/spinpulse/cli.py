@@ -96,6 +96,15 @@ def _add_branch_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _compile_target(args) -> np.ndarray:
+    """The target of compile and expand, within MAX_COMPILE_SPINS."""
+    u = _load_target(args)
+    n = linalg.num_spins_for_dim(u.shape[0])
+    if n > MAX_COMPILE_SPINS:
+        raise ValueError(f"{n} spins exceeds the compile limit {MAX_COMPILE_SPINS}")
+    return u
+
+
 def _load_target(args) -> np.ndarray:
     if args.matrix is not None:
         with open(args.matrix, encoding="utf-8") as fh:
@@ -132,10 +141,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_compile(args) -> int:
-    u = _load_target(args)
+    u = _compile_target(args)
     n = linalg.num_spins_for_dim(u.shape[0])
-    if n > MAX_COMPILE_SPINS:
-        raise ValueError(f"{n} spins exceeds the compile limit {MAX_COMPILE_SPINS}")
     if n > pipeline.DEFAULT_VERIFY_LIMIT:
         print(
             f"warning: {n} spins; verification is disabled above "
@@ -169,7 +176,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    u = _load_target(args)
+    u = _compile_target(args)
     g = generator.extract_generator(u, BranchConvention(args.branch), args.tol)
     expansion = generator.expand(g, args.tol)
     sys.stdout.write(generator.format_expansion(expansion) + "\n")

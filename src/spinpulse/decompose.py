@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pauli
-from .generator import GeneratorExpansion
+from . import linalg, pauli
+from .generator import GeneratorExpansion, expand
 from .pauli import PauliString
 
 DEFAULT_TROTTER_STEPS = 64
@@ -27,10 +27,6 @@ STRATEGY_COMMUTING = "commuting"
 STRATEGY_EULER = "euler"
 STRATEGY_FACTORIZED = "factorized"
 STRATEGY_TROTTER = "trotter"
-
-
-class NotAllCommutingError(Exception):
-    """The expansion has at least one non-commuting pair of words."""
 
 
 @dataclass(frozen=True)
@@ -98,20 +94,6 @@ class FactorizedGenerator:
         return g
 
 
-def decompose_commuting(expansion: GeneratorExpansion) -> DecompositionPlan:
-    """One op per term, in basis order; valid only when all terms commute."""
-    if not expansion.all_commuting():
-        raise NotAllCommutingError("expansion terms do not all commute")
-    ops = tuple(SingleOp(word, value) for word, value in expansion.terms())
-    return DecompositionPlan(
-        num_spins=expansion.num_spins,
-        ops=ops,
-        exact=True,
-        strategy=STRATEGY_COMMUTING,
-        dropped_identity=expansion.identity_coeff,
-    )
-
-
 def euler_decompose(a: SingleOp, b: SingleOp) -> list[SingleOp]:
     """Rewrite exp(-i*(a + b)) for anticommuting words as a three-op sandwich.
 
@@ -149,56 +131,35 @@ def _axis_ops(num_spins: int, spin: int, spin_part: tuple[float, float, float]):
     return forward, inverse
 
 
-def decompose_factorized(fg: FactorizedGenerator) -> DecompositionPlan:
+def decompose_factorized(
+    fg: FactorizedGenerator, tol: float = linalg.DEFAULT_TOL
+) -> DecompositionPlan:
     """Exact plan for a factorized generator.
 
     Per spin, rotate the linear form onto the z axis; the conjugated core is
-    a product of (phi0 E + |spin part| I_z) factors, which distributes into
-    mutually commuting z-words.  Output is the time-ordered sandwich
-    inverse-rotations, core, rotations.
+    the diagonal product of (phi0 E + |spin part| I_z) factors, whose
+    z-words generator.expand reads off and which all commute.  Output is the
+    time-ordered sandwich inverse-rotations, core, rotations.
     """
     n = fg.num_spins
-    norms = []
+    diagonal = np.ones(1)
     pre: list[SingleOp] = []
     post: list[SingleOp] = []
     for spin, (phi0, *spin_part) in enumerate(fg.per_spin, start=1):
         spin_part = tuple(float(v) for v in spin_part)
         norm = math.sqrt(sum(v * v for v in spin_part))
-        norms.append((float(phi0), norm))
+        diagonal = np.kron(diagonal, [phi0 + norm / 2, phi0 - norm / 2])
         if norm > 0.0:
             forward, inverse = _axis_ops(n, spin, spin_part)
             pre.extend(inverse)
             post = forward + post
-    # Distribute the core product into z-words: one term per subset of spins
-    # taking the I_z part, everyone else contributing its scalar.
-    coeffs: dict[PauliString, float] = {}
-    identity = 0.0
-    for mask in range(2**n):
-        value = 1.0
-        spins = []
-        for spin in range(1, n + 1):
-            phi0, norm = norms[spin - 1]
-            if mask & (1 << (spin - 1)):
-                value *= norm
-                spins.append(spin)
-            else:
-                value *= phi0
-        if value == 0.0:
-            continue
-        if not spins:
-            identity = value
-        else:
-            word = PauliString.z_on(n, spins)
-            coeffs[word] = coeffs.get(word, 0.0) + value / 2 ** (len(spins) - 1)
-    core = decompose_commuting(
-        GeneratorExpansion(num_spins=n, coeffs=coeffs, identity_coeff=identity)
-    )
+    core = plan(expand(diagonal, tol))
     return DecompositionPlan(
         num_spins=n,
         ops=tuple(pre) + core.ops + tuple(post),
         exact=True,
         strategy=STRATEGY_FACTORIZED,
-        dropped_identity=identity,
+        dropped_identity=core.dropped_identity,
     )
 
 
@@ -221,20 +182,22 @@ def trotterize(expansion: GeneratorExpansion, steps: int) -> DecompositionPlan:
 def plan(
     expansion: GeneratorExpansion, trotter_steps: int = DEFAULT_TROTTER_STEPS
 ) -> DecompositionPlan:
-    """Pick a decomposition route: all-commuting product, Euler sandwich for
-    exactly two anticommuting terms, first-order formula otherwise."""
-    try:
-        return decompose_commuting(expansion)
-    except NotAllCommutingError:
-        pass
+    """Pick a decomposition route: one op per term in basis order when all
+    terms commute, Euler sandwich for exactly two anticommuting terms,
+    first-order formula otherwise."""
     terms = expansion.terms()
-    if len(terms) == 2:
+    if expansion.all_commuting():
+        ops = [SingleOp(word, value) for word, value in terms]
+        strategy = STRATEGY_COMMUTING
+    elif len(terms) == 2:
         ops = euler_decompose(SingleOp(*terms[0]), SingleOp(*terms[1]))
-        return DecompositionPlan(
-            num_spins=expansion.num_spins,
-            ops=tuple(ops),
-            exact=True,
-            strategy=STRATEGY_EULER,
-            dropped_identity=expansion.identity_coeff,
-        )
-    return trotterize(expansion, trotter_steps)
+        strategy = STRATEGY_EULER
+    else:
+        return trotterize(expansion, trotter_steps)
+    return DecompositionPlan(
+        num_spins=expansion.num_spins,
+        ops=tuple(ops),
+        exact=True,
+        strategy=strategy,
+        dropped_identity=expansion.identity_coeff,
+    )

@@ -4,7 +4,8 @@ Matrix files: a `spins N` header, then 2**N rows of 2**N whitespace
 separated complex entries written like `0.5-0.5i`, `1`, `-1i`.  Sequence
 files: a `spins N` header, an optional `# phase <real>` line, then one op
 per line in time order, `R <spin> <x|y|z> <angle>` or
-`J <spin_i> <spin_j> <angle>`.  `#` starts a comment.  Floats are written
+`J <spin_i> <spin_j> <angle>`; angles and phase must be finite.  `#`
+starts a comment (in a matrix file, `# phase` too).  Floats are written
 with shortest round-trip precision so re-parsing reproduces the in-memory
 values exactly.
 """
@@ -12,6 +13,7 @@ values exactly.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -44,14 +46,22 @@ def parse_complex(token: str) -> complex:
         raise ValueError(f"malformed complex entry {token!r}") from None
 
 
-def _content_lines(text: str):
-    """(lineno, line) pairs with comments and blanks stripped; `# phase`
-    lines are yielded too since they carry data."""
+def _parse_real(value) -> float:
+    """float(value), ValueError unless it is finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {value!r}")
+    return x
+
+
+def _content_lines(text: str, keep_phase: bool = False):
+    """(lineno, line) pairs with comments and blanks stripped; with
+    `keep_phase`, `# phase ...` lines are yielded too since they carry data."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#") and not line[1:].lstrip().startswith("phase"):
+        if line.startswith("#") and not (keep_phase and line[1:].split()[:1] == ["phase"]):
             continue
         yield lineno, line
 
@@ -111,7 +121,7 @@ def parse_sequence(text: str) -> PulseSequence:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return sequence_from_dict(json.loads(text))
-    lines = list(_content_lines(text))
+    lines = list(_content_lines(text, keep_phase=True))
     if not lines:
         raise ValueError("empty sequence file")
     n = _parse_header(*lines[0])
@@ -120,12 +130,10 @@ def parse_sequence(text: str) -> PulseSequence:
     for lineno, line in lines[1:]:
         if line.startswith("#"):
             tokens = line[1:].split()
-            if tokens[:1] != ["phase"]:
-                continue  # ordinary comment that merely starts with "phase..."
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: malformed phase line {line!r}")
             try:
-                phase = float(tokens[1])
+                phase = _parse_real(tokens[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad phase value {tokens[1]!r}") from None
             continue
@@ -142,14 +150,14 @@ def _parse_op(parts: list[str], num_spins: int) -> PulseOp:
     if kind == "R":
         if len(parts) != 4:
             raise ValueError(f"expected 'R <spin> <axis> <angle>', got {parts!r}")
-        spin, axis, angle = int(parts[1]), parts[2], float(parts[3])
+        spin, axis, angle = int(parts[1]), parts[2], _parse_real(parts[3])
         if spin > num_spins:
             raise ValueError(f"spin {spin} out of range 1..{num_spins}")
         return Rotation(spin, axis, angle)
     if kind == "J":
         if len(parts) != 4:
             raise ValueError(f"expected 'J <i> <j> <angle>', got {parts!r}")
-        i, j, angle = int(parts[1]), int(parts[2]), float(parts[3])
+        i, j, angle = int(parts[1]), int(parts[2]), _parse_real(parts[3])
         if max(i, j) > num_spins:
             raise ValueError(f"spin {max(i, j)} out of range 1..{num_spins}")
         return Coupling(i, j, angle)
@@ -171,14 +179,15 @@ def sequence_to_dict(seq: PulseSequence) -> dict[str, Any]:
 def sequence_from_dict(data: dict[str, Any]) -> PulseSequence:
     try:
         n = int(data["spins"])
-        phase = float(data.get("phase", 0.0))
+        phase = _parse_real(data.get("phase", 0.0))
         ops: list[PulseOp] = []
         for entry in data["ops"]:
+            angle = _parse_real(entry["angle"])
             if entry["kind"] == "rotation":
-                ops.append(Rotation(int(entry["spin"]), entry["axis"], float(entry["angle"])))
+                ops.append(Rotation(int(entry["spin"]), entry["axis"], angle))
             elif entry["kind"] == "coupling":
                 i, j = entry["spins"]
-                ops.append(Coupling(int(i), int(j), float(entry["angle"])))
+                ops.append(Coupling(int(i), int(j), angle))
             else:
                 raise ValueError(f"unknown op kind {entry['kind']!r}")
     except (KeyError, TypeError) as exc:

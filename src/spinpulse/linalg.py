@@ -32,18 +32,15 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """ValueError unless u is square and u @ u† is within tol of the
+    identity.  Not part of the compile tolerance model (see
+    pipeline.CompileOptions): a compile tests unitarity in
+    generator.extract_generator."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return max_abs_diff(u @ u.conj().T, np.eye(u.shape[0])) < tol
-
-
-def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """ValueError unless u @ u† is within tol of the identity.  Not part of
-    the compile tolerance model (see pipeline.CompileOptions): a compile
-    tests unitarity in generator.extract_generator."""
-    if not is_unitary(u, tol):
+        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    if max_abs_diff(u @ u.conj().T, np.eye(u.shape[0])) >= tol:
         raise ValueError(f"matrix is not unitary within tolerance {tol}")
 
 

@@ -43,9 +43,10 @@ class CompileOptions:
       within 10*tol; `spinpulse verify` compares at the same bound.
     So an accepted input either takes an approximate route (exit 2) or
     verifies within 10*tol; tests/test_tolerance.py checks this on inputs a
-    few tol away from exact gates.  reduction.ANGLE_EPS (1e-14) is a
-    rounding floor for cancelling pulse angles, not an input tolerance; at
-    tol near 1e-14 or below, the pulses it drops can exceed 10*tol.
+    few tol away from exact gates.  tol may not go below
+    reduction.ANGLE_EPS (1e-14), the rounding floor under which cancelling
+    pulse angles are dropped, so a pulse it drops moves the sequence by
+    less than tol/2.
     linalg.require_unitary is not part of the model.
     """
 
@@ -58,8 +59,8 @@ class CompileOptions:
     max_verify_spins: int = DEFAULT_VERIFY_LIMIT
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol >= reduction.ANGLE_EPS:  # NaN fails this too
+            raise ValueError(f"tol must be at least the angle floor {reduction.ANGLE_EPS:g}")
         if self.trotter_steps < 1:
             raise ValueError("trotter_steps must be at least 1")
 
@@ -120,7 +121,7 @@ def compile_factorized(
 ) -> CompileReport:
     """Compile a factorized generator via the conjugation route."""
     options = options or CompileOptions()
-    plan = decompose.decompose_factorized(fg)
+    plan = decompose.decompose_factorized(fg, options.tol)
     target = None
     if options.verify and fg.num_spins <= options.max_verify_spins:
         target = linalg.matrix_exp_hermitian(fg.matrix())

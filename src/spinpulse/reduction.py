@@ -1,11 +1,14 @@
-"""Rewriting passes from single operators to allowed pulses.
+"""Rewriting of a decomposition plan into allowed pulses.
 
 The allowed set is single-spin x/y rotations and the two-spin Ising
-coupling.  z rotations are rewritten as composite pulses, other axes are
-conjugated to z, and z-words of weight three or more are reduced by
-nested flips: conjugating by a (pseudo) controlled-flip on a spin pair
-raises the coupling order of the inner block by one, so an n-spin
-coupling is one coupling inside n-2 flip sandwiches.
+coupling.  `reduce_plan` rewrites each single operator in one pass and
+does both of the paper's replacements there.  Axes transformation: every
+x or y axis of a word is conjugated to z by a quarter-turn frame, and a
+bare z rotation becomes a composite of x/y pulses.  Coupling order
+reduction: a z-word of weight three or more is reduced by nested flips;
+conjugating by a (pseudo) controlled flip on a spin pair raises the
+coupling order of the inner block by one, so an n-spin coupling is one
+coupling inside n-2 flip sandwiches.
 
 All sequences here are in time order.  Angles are meaningful modulo 4*pi
 (a 2*pi rotation is -identity, a physical phase).
@@ -16,8 +19,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .decompose import DecompositionPlan, SingleOp
-from .pauli import PauliString
+from .decompose import DecompositionPlan
 from .pulse import Coupling, PulseOp, PulseSequence, Rotation
 
 HALF_PI = math.pi / 2
@@ -44,7 +46,8 @@ def wrap_angle(angle: float) -> float:
 
 
 # Quarter turn opening each axis's frame, which the opposite turn closes: it
-# takes z onto x or y (axis_transform) and, for z, x onto z (composite_z).
+# takes z onto x or y (the axes transformation in reduce_plan) and, for z,
+# x onto z (composite_z).
 _FRAME_TURNS = {"x": ("y", -HALF_PI), "y": ("x", HALF_PI), "z": ("y", HALF_PI)}
 
 
@@ -58,22 +61,6 @@ def composite_z(spin: int, angle: float) -> list[PulseOp]:
     """z rotation as a composite of allowed pulses (phase-exact)."""
     pre, post = _frame(spin, "z")
     return [pre, Rotation(spin, "x", angle), post]
-
-
-def axis_transform(op: SingleOp) -> tuple[list[PulseOp], SingleOp, list[PulseOp]]:
-    """Conjugate every nonzero axis of `op` to z.
-
-    Returns time-ordered wrappers (pre, post) and the all-z core carrying
-    the original angle: pre + core + post applied in time equals `op`
-    phase-exactly.  Per slot, x is reached from z by a y rotation and y by
-    an x rotation, signs fixed so conjugation maps I_z onto I_x (resp. I_y).
-    """
-    if op.s.weight == 0:
-        raise ValueError("zero-weight word has no axes to transform")
-    spins = op.s.support()
-    frames = [_frame(spin, op.s.axis(spin)) for spin in spins if op.s.axis(spin) != "z"]
-    core = SingleOp(PauliString.z_on(op.s.num_spins, spins), op.angle)
-    return [pre for pre, _ in frames], core, [post for _, post in reversed(frames)]
 
 
 def cnot_sequence(i: int, j: int) -> list[PulseOp]:
@@ -115,7 +102,10 @@ def _flips(i: int, j: int, use_pseudo_cnot: bool, allow_z: bool):
 
 def _reduce(spins: list[int], angle: float, flips) -> tuple[list[PulseOp], float]:
     """Pulses and known phase of the all-z word on `spins` (two or more): the
-    last pair's coupling inside the sandwiches `flips(i, j)` of the others."""
+    last pair's coupling inside the sandwiches `flips(i, j)` of the pairs
+    (s1, s2), ..., (s_{n-2}, s_{n-1}), outermost first, each raising the
+    coupling order by one and restoring its spins.  The phase is radians of
+    e^{i*phase} needed on top of the simulated product."""
     levels = [flips(i, j) for i, j in zip(spins[:-2], spins[1:-1])]
     ops = [op for before, _, _ in levels for op in before]
     ops.append(Coupling(spins[-2], spins[-1], angle))
@@ -126,38 +116,17 @@ def _reduce(spins: list[int], angle: float, flips) -> tuple[list[PulseOp], float
     return ops, phase
 
 
-def reduce_coupling_order(
-    op: SingleOp, use_pseudo_cnot: bool = True
-) -> tuple[list[PulseOp], float]:
-    """Rewrite an all-z single operator into allowed pulses.
-
-    Weight 1 stays a (bare) z rotation, weight 2 is one coupling, weight
-    n >= 3 is the last pair's coupling inside flips of (s1, s2), ...,
-    (s_{n-2}, s_{n-1}), outermost first, each raising the coupling order by
-    one and restoring its spins.  Returns the ops and the accumulated known
-    phase (radians of e^{i*phase} needed on top of the simulated product);
-    pseudo flips are phase-exact, full flips contribute their sequence
-    phase twice per level.
-    """
-    spins = op.s.support()
-    if op.s != PauliString.z_on(op.s.num_spins, spins):
-        raise ValueError(f"{op.s} is not an all-z word")
-    if not spins:
-        raise ValueError("zero-weight word")
-    if len(spins) == 1:
-        return [Rotation(spins[0], "z", op.angle)], 0.0
-    return _reduce(spins, op.angle, lambda i, j: _flips(i, j, use_pseudo_cnot, True))
-
-
 def reduce_plan(
     plan: DecompositionPlan,
     allow_z: bool = False,
     use_pseudo_cnot: bool = True,
     merge: bool = True,
 ) -> PulseSequence:
-    """Full rewriting pipeline for a plan: weight-1 x/y ops pass through,
-    everything else is axis-transformed and order-reduced, z rotations are
-    expanded unless allowed, and adjacent pulses are merged.
+    """The one rewriting of a plan into pulses: weight-1 x/y ops pass
+    through, every other word is axis-transformed and order-reduced, z
+    rotations are expanded unless allowed, and adjacent pulses are merged.
+    The ledger is phase-exact: pseudo flips add no phase, full flips add
+    their sequence phase twice per level.
 
     One pass emits the pulses.  Frames and flip sandwiches (z expanded) are
     built once per spin or pair in this call and shared, as pulses are frozen.

@@ -33,6 +33,13 @@ def word(text):
     return PauliString.from_string(text)
 
 
+def reduce_one(s, angle):
+    """Coupling order reduction of exp(-i*angle*s) alone: reduce_plan on the
+    one-op plan, z kept, unmerged."""
+    plan = decompose.DecompositionPlan(s.num_spins, (SingleOp(s, angle),), True, "commuting")
+    return reduction.reduce_plan(plan, allow_z=True, merge=False)
+
+
 # Published pulse sequence for the doubly controlled flip, transcribed into
 # time order with the conjugator pair written out as pulses.
 REFERENCE_TOFFOLI_SEQUENCE = """\
@@ -188,9 +195,9 @@ def test_criterion_6_third_order_block_structure(rng):
         worst_block = max(worst_block, linalg.max_abs_diff(exponential, block))
 
     phi = 0.9137
-    ops, _ = reduction.reduce_coupling_order(SingleOp(word("zzz"), phi))
+    seq = reduce_one(word("zzz"), phi)
     target = linalg.matrix_exp_hermitian(phi * pauli.materialize(word("zzz")))
-    comparison = sim.equal_up_to_phase(target, sim.simulate(PulseSequence(3, ops)), 1e-10)
+    comparison = sim.equal_up_to_phase(target, sim.simulate(seq), 1e-10)
     ok = worst_block < 1e-12 and comparison.equal
     report(6, f"third-order block structure (worst {worst_block:.1e})", ok)
 
@@ -202,12 +209,12 @@ def test_criterion_7_order_n_reduction(rng):
         start = time.perf_counter()
         phi = float(rng.uniform(0.2, 1.5))
         s = PauliString.z_on(n, range(1, n + 1))
-        ops, _ = reduction.reduce_coupling_order(SingleOp(s, phi))
-        simulated = sim.simulate(PulseSequence(n, ops))
+        seq = reduce_one(s, phi)
+        simulated = sim.simulate(seq)
         target = linalg.matrix_exp_hermitian(phi * pauli.materialize(s))
         comparison = sim.equal_up_to_phase(target, simulated, 1e-9)
         timed[n] = time.perf_counter() - start
-        ok = ok and comparison.equal and len(ops) <= 12 * n
+        ok = ok and comparison.equal and len(seq.ops) <= 12 * n
     ok = ok and timed[5] < 10.0
     report(7, f"order-n reduction, n=3,4,5 (n=5 took {timed[5]:.2f}s)", ok)
 

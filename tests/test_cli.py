@@ -305,3 +305,52 @@ def test_verify_trace_orthogonal_mismatch_exits_3(capsys, tmp_path):
     code, stdout, _ = run(capsys, "verify", str(seq_path), "--matrix", str(path))
     assert code == 3
     assert stdout.splitlines()[0].startswith("residual")
+
+
+@pytest.mark.parametrize("command", ["compile", "expand"])
+def test_spin_ceiling_covers_compile_and_expand(capsys, command):
+    code, stdout, stderr = run(capsys, command, "--gate", "cnot", "--num-spins", "11")
+    assert code == 1 and stdout == ""
+    assert "11 spins exceeds the compile limit 10" in stderr
+
+
+def test_tol_below_angle_floor_exits_1(capsys):
+    # At tol 1e-15 the pulses of this cphase fall under the 1e-14 angle
+    # floor; the compile emitted none, claimed exact and failed to verify.
+    code, stdout, stderr = run(
+        capsys, "compile", "--gate", "cphase", "--phi", "1.39e-14", "--tol", "1e-15"
+    )
+    assert code == 1 and stdout == ""
+    assert "angle floor" in stderr
+
+
+def test_matrix_file_phase_comment_is_a_comment(capsys, tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_text("spins 1\n# phase convention: none\n1 0\n0 -1\n")
+    code, stdout, _ = run(capsys, "compile", "--matrix", str(path))
+    assert code == 0
+    assert sim.equal_up_to_phase(
+        sim.simulate(formats.parse_sequence(stdout)), pauli.SIGMA["z"], 1e-9
+    ).equal
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "spins 1\nR 1 x nan\n",
+        "spins 1\nR 1 x inf\n",
+        "spins 2\nJ 1 2 -inf\n",
+        "spins 1\n# phase nan\n",
+        '{"spins": 1, "phase": 0, "ops": [{"kind": "rotation", "spin": 1, "axis": "x", '
+        '"angle": NaN}]}',
+        '{"spins": 1, "phase": Infinity, "ops": []}',
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_non_finite_sequence_values_exit_1(capsys, tmp_path, text, command):
+    path = tmp_path / "bad.seq"
+    path.write_text(text)
+    extra = ["--gate", "cnot"] if command == "verify" else []
+    code, stdout, stderr = run(capsys, command, str(path), *extra)
+    assert code == 1 and stdout == ""
+    assert ("non-finite" if text.startswith("{") else "error: line 2:") in stderr

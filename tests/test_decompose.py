@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from spinpulse import decompose, generator, linalg, pauli, sim
-from spinpulse.decompose import (
-    FactorizedGenerator,
-    NotAllCommutingError,
-    SingleOp,
-)
+from spinpulse.decompose import FactorizedGenerator, SingleOp
 from spinpulse.generator import BranchConvention, GeneratorExpansion
 from spinpulse.pauli import PauliString
 
@@ -34,7 +30,7 @@ def test_commuting_toffoli_expansion():
     toffoli = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
     g = generator.extract_generator(toffoli, BranchConvention.PRINCIPAL_LOWER)
     expansion = generator.expand(g)
-    plan = decompose.decompose_commuting(expansion)
+    plan = decompose.plan(expansion)
     assert plan.exact and plan.strategy == "commuting"
     assert len(plan.ops) == 7  # identity term excluded
     assert [op.s for op in plan.ops] == sorted(op.s for op in plan.ops)
@@ -42,20 +38,26 @@ def test_commuting_toffoli_expansion():
 
 def test_commuting_single_term():
     expansion = GeneratorExpansion(2, {word("z0"): 0.4})
-    plan = decompose.decompose_commuting(expansion)
+    plan = decompose.plan(expansion)
     assert plan.ops == (SingleOp(word("z0"), 0.4),)
 
 
 def test_commuting_product_matches_oracle():
     expansion = GeneratorExpansion(2, {word("x0"): 0.35, word("0y"): -0.8})
-    plan = decompose.decompose_commuting(expansion)
+    plan = decompose.plan(expansion)
+    assert plan.strategy == "commuting"
     assert linalg.max_abs_diff(sim.simulate_plan(plan), exp_of(expansion)) < 1e-10
 
 
 def test_commuting_rejects_noncommuting():
-    expansion = GeneratorExpansion(1, {word("x"): 0.3, word("z"): 0.2})
-    with pytest.raises(NotAllCommutingError):
-        decompose.decompose_commuting(expansion)
+    # One anticommuting pair among commuting words keeps the whole
+    # expansion off the commuting route.
+    expansion = GeneratorExpansion(
+        2, {word("x0"): 0.3, word("z0"): 0.2, word("0z"): 0.1, word("zz"): 0.4}
+    )
+    assert not expansion.all_commuting()
+    chosen = decompose.plan(expansion, trotter_steps=2)
+    assert chosen.strategy == "trotter" and not chosen.exact
 
 
 def test_euler_cyclic_pair_angles():
@@ -156,7 +158,7 @@ def test_factorized_all_zero_spin_parts():
 def test_trotterize_single_step_matches_commuting():
     expansion = GeneratorExpansion(2, {word("z0"): 0.4, word("0z"): -0.2})
     steps_one = decompose.trotterize(expansion, 1)
-    assert steps_one.ops == decompose.decompose_commuting(expansion).ops
+    assert steps_one.ops == decompose.plan(expansion).ops
     assert not steps_one.exact and steps_one.trotter_steps == 1
 
 

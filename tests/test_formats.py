@@ -1,7 +1,12 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinpulse import formats
 from spinpulse.pulse import Coupling, PulseSequence, Rotation
@@ -32,7 +37,8 @@ def test_matrix_round_trip(rng):
 
 
 def test_matrix_parse_with_comments():
-    text = "# a comment\nspins 1\n# another\n1 0\n0 -1i\n"
+    # `# phase` carries data only in sequence files.
+    text = "# a comment\nspins 1\n# another\n# phase convention: none\n1 0\n0 -1i\n"
     m = formats.parse_matrix(text)
     np.testing.assert_array_equal(m, np.diag([1, -1j]))
 
@@ -131,3 +137,60 @@ def test_json_validation_errors():
         )
     with pytest.raises(ValueError):
         formats.matrix_from_dict({"spins": 2, "matrix": [[[1, 0]]]})
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def sequences(draw):
+    """Pulse sequences on 1-10 spins with finite angles and phase."""
+    n = draw(st.integers(1, 10))
+    rotation = st.builds(Rotation, st.integers(1, n), st.sampled_from("xyz"), finite)
+    ops = rotation
+    if n > 1:
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        coupling = st.builds(lambda ij, angle: Coupling(*ij, angle), pair, finite)
+        ops = st.one_of(rotation, coupling)
+    return PulseSequence(n, draw(st.lists(ops, max_size=12)), draw(finite))
+
+
+def text_round_trip(seq):
+    return formats.parse_sequence(formats.format_sequence(seq))
+
+
+def json_round_trip(seq):
+    return formats.sequence_from_dict(json.loads(json.dumps(formats.sequence_to_dict(seq))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences())
+def test_sequence_round_trips_reproduce_values(seq):
+    for parsed in (text_round_trip(seq), json_round_trip(seq)):
+        assert parsed.num_spins == seq.num_spins
+        assert parsed.ops == seq.ops and parsed.global_phase == seq.global_phase
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(), non_finite, st.data())
+def test_sequence_round_trips_reject_non_finite(seq, bad, data):
+    slot = data.draw(st.integers(-1, len(seq.ops) - 1))
+    if slot < 0:
+        seq.global_phase = bad
+    else:
+        seq.ops[slot] = dataclasses.replace(seq.ops[slot], angle=bad)
+    for round_trip in (text_round_trip, json_round_trip):
+        with pytest.raises(ValueError):
+            round_trip(seq)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: arrays(complex, (2**n, 2**n), elements=st.complex_numbers(
+        allow_nan=False, allow_infinity=False))
+))
+def test_matrix_round_trips_reproduce_values(m):
+    assert np.array_equal(formats.parse_matrix(formats.format_matrix(m)), m)
+    data = json.loads(json.dumps(formats.matrix_to_dict(m)))
+    assert np.array_equal(formats.matrix_from_dict(data), m)

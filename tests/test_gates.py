@@ -62,7 +62,7 @@ def test_phase_flip_range_check():
     ],
 )
 def test_all_gates_unitary(matrix):
-    assert linalg.is_unitary(matrix, 1e-14)
+    linalg.require_unitary(matrix, 1e-14)
 
 
 @pytest.mark.parametrize(

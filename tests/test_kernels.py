@@ -374,12 +374,14 @@ def test_reduce_plan_matches_recursive_reduction(allow_z, use_pseudo_cnot, plan)
 @settings(max_examples=60, deadline=None)
 @given(plans(), st.booleans())
 def test_public_reduction_pieces_match_recursive_reduction(plan, use_pseudo_cnot):
+    options = dict(allow_z=True, use_pseudo_cnot=use_pseudo_cnot, merge=False)
     for op in plan.ops:
-        assert reduction.axis_transform(op) == backend_oracle.axis_transform(op)
-        _, core, _ = reduction.axis_transform(op)
-        assert reduction.reduce_coupling_order(
-            core, use_pseudo_cnot
-        ) == backend_oracle.reduce_coupling_order(core, use_pseudo_cnot)
+        # One op, z kept, unmerged: the axes transformation around the
+        # coupling order reduction of that word alone.
+        one = DecompositionPlan(plan.num_spins, (op,), True, "commuting")
+        assert same_sequence(
+            reduction.reduce_plan(one, **options), backend_oracle.reduce_plan(one, **options)
+        )
         spin = op.s.support()[0]
         assert reduction.composite_z(spin, op.angle) == backend_oracle.composite_z(spin, op.angle)
     for i, j in [(1, 2), (3, 1)]:

@@ -13,6 +13,14 @@ def test_max_abs_diff_shape_check():
         linalg.max_abs_diff(np.eye(2), np.eye(4))
 
 
+def test_require_unitary():
+    linalg.require_unitary(random_unitary(np.random.default_rng(3), 4), 1e-12)
+    with pytest.raises(ValueError, match="not unitary"):
+        linalg.require_unitary(np.diag([1.0, 1.0 + 1e-6]), 1e-9)
+    with pytest.raises(ValueError, match="square"):
+        linalg.require_unitary(np.eye(2, 3))
+
+
 def test_eig_hadamard_like():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     decomp = linalg.eig_unitary(h)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpulse import formats, gates, linalg, pauli, pipeline, sim
+from spinpulse import formats, gates, linalg, pauli, pipeline, reduction, sim
 from spinpulse.decompose import FactorizedGenerator
 from spinpulse.generator import BranchConvention
 from spinpulse.pauli import PauliString
@@ -121,6 +121,10 @@ def test_rejects_non_unitary():
 def test_rejects_bad_options():
     with pytest.raises(ValueError):
         pipeline.CompileOptions(tol=0.0)
+    for tol in (1e-15, 0.5 * reduction.ANGLE_EPS, math.nan):
+        with pytest.raises(ValueError, match="angle floor"):
+            pipeline.CompileOptions(tol=tol)
+    assert pipeline.CompileOptions(tol=reduction.ANGLE_EPS).tol == reduction.ANGLE_EPS
     with pytest.raises(ValueError):
         pipeline.CompileOptions(trotter_steps=0)
 
@@ -219,3 +223,21 @@ def test_global_phase_ledger_is_exact(build, seed, flags, branch):
     assert report.exact and report.strategy == strategy
     ledger = np.exp(1j * report.sequence.global_phase) * sim.simulate(report.sequence)
     assert linalg.max_abs_diff(ledger, u) <= 10 * options.tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 4), min_size=1, max_size=4),
+    st.sampled_from(list(itertools.product([False, True], repeat=2))),
+)
+def test_factorized_route_is_ledger_exact(per_spin, flags):
+    """The conjugation route, whose core goes through generator.expand,
+    rebuilds exp(-i*g) of the factorized generator with no phase freedom."""
+    allow_z, use_pseudo_cnot = flags
+    options = pipeline.CompileOptions(allow_z=allow_z, use_pseudo_cnot=use_pseudo_cnot)
+    fg = FactorizedGenerator(tuple(per_spin))
+    report = pipeline.compile_factorized(fg, options)
+    assert report.exact and report.strategy == "factorized" and report.verified
+    target = linalg.matrix_exp_hermitian(fg.matrix())
+    ledger = np.exp(1j * report.sequence.global_phase) * sim.simulate(report.sequence)
+    assert linalg.max_abs_diff(ledger, target) <= 10 * options.tol

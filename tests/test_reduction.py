@@ -37,29 +37,29 @@ def test_composite_z_random_angles(rng):
         assert linalg.max_abs_diff(m, z_rotation_matrix(phi)) < 1e-12
 
 
+def reduce_one(s, angle, use_pseudo_cnot=True):
+    """reduce_plan on the one-op plan exp(-i*angle*s), z kept, unmerged."""
+    plan = decompose.DecompositionPlan(s.num_spins, (SingleOp(s, angle),), True, "commuting")
+    return reduction.reduce_plan(plan, allow_z=True, use_pseudo_cnot=use_pseudo_cnot, merge=False)
+
+
 def test_axis_transform_xz():
-    op = SingleOp(word("xz"), 0.77)
-    pre, core, post = reduction.axis_transform(op)
-    assert core == SingleOp(word("zz"), 0.77)
-    assert all(r.spin == 1 for r in pre + post)
-    m = run(2, pre + [Coupling(1, 2, core.angle)] + post)
+    seq = reduce_one(word("xz"), 0.77)
+    assert [op for op in seq.ops if isinstance(op, Coupling)] == [Coupling(1, 2, 0.77)]
+    assert all(op.spin == 1 for op in seq.ops if isinstance(op, Rotation))
     target = linalg.matrix_exp_hermitian(0.77 * pauli.materialize(word("xz")))
-    assert linalg.max_abs_diff(m, target) < 1e-12
+    assert linalg.max_abs_diff(sim.simulate(seq), target) < 1e-12
 
 
 def test_axis_transform_all_z_is_trivial():
-    pre, core, post = reduction.axis_transform(SingleOp(word("zz"), 0.5))
-    assert pre == [] and post == []
-    assert core == SingleOp(word("zz"), 0.5)
+    assert reduce_one(word("zz"), 0.5).ops == [Coupling(1, 2, 0.5)]
 
 
 def test_axis_transform_y():
-    op = SingleOp(word("y"), 0.31)
-    pre, core, post = reduction.axis_transform(op)
-    assert core.s == word("z")
-    m = run(1, pre + [Rotation(1, "z", core.angle)] + post)
-    target = linalg.matrix_exp_hermitian(0.31 * pauli.materialize(word("y")))
-    assert linalg.max_abs_diff(m, target) < 1e-12
+    seq = reduce_one(word("yz"), 0.31)
+    assert all(op.axis == "x" for op in seq.ops if isinstance(op, Rotation))
+    target = linalg.matrix_exp_hermitian(0.31 * pauli.materialize(word("yz")))
+    assert linalg.max_abs_diff(sim.simulate(seq), target) < 1e-12
 
 
 def test_cnot_sequence_matrix():
@@ -100,50 +100,43 @@ def test_pseudo_cnot_sandwich_property():
 
 
 def test_reduce_coupling_order_weight_two():
-    ops, phase = reduction.reduce_coupling_order(SingleOp(word("zz"), 0.4))
-    assert ops == [Coupling(1, 2, 0.4)] and phase == 0.0
+    seq = reduce_one(word("zz"), 0.4)
+    assert seq.ops == [Coupling(1, 2, 0.4)] and seq.global_phase == 0.0
 
 
 def test_reduce_coupling_order_weight_three():
     phi = 0.9
-    ops, phase = reduction.reduce_coupling_order(SingleOp(word("zzz"), phi))
-    assert phase == 0.0
+    seq = reduce_one(word("zzz"), phi)
+    assert seq.global_phase == 0.0
     target = linalg.matrix_exp_hermitian(phi * pauli.materialize(word("zzz")))
-    comparison = sim.equal_up_to_phase(run(3, ops), target, 1e-10)
-    assert comparison.equal
+    assert linalg.max_abs_diff(sim.simulate(seq), target) < 1e-10
 
 
 def test_reduce_coupling_order_weight_four():
     phi = -1.3
-    ops, _ = reduction.reduce_coupling_order(SingleOp(word("zzzz"), phi))
+    seq = reduce_one(word("zzzz"), phi)
     target = linalg.matrix_exp_hermitian(phi * pauli.materialize(word("zzzz")))
-    assert sim.equal_up_to_phase(run(4, ops), target, 1e-9).equal
+    assert sim.equal_up_to_phase(sim.simulate(seq), target, 1e-9).equal
 
 
 def test_reduce_coupling_order_full_cnot_ledger():
     phi = 0.6
-    ops, phase = reduction.reduce_coupling_order(
-        SingleOp(word("zzz"), phi), use_pseudo_cnot=False
-    )
+    seq = reduce_one(word("zzz"), phi, use_pseudo_cnot=False)
     target = linalg.matrix_exp_hermitian(phi * pauli.materialize(word("zzz")))
-    m = run(3, ops)
+    m = sim.simulate(seq)
     assert sim.equal_up_to_phase(m, target, 1e-10).equal
     # the ledger phase is exact for the full-flip route
-    assert linalg.max_abs_diff(np.exp(1j * phase) * m, target) < 1e-10
+    assert linalg.max_abs_diff(np.exp(1j * seq.global_phase) * m, target) < 1e-10
 
 
 def test_reduce_coupling_order_sparse_support():
     # a z-word on spins 1,3,4 of a 4-spin register
     phi = 0.35
     s = PauliString.z_on(4, [1, 3, 4])
-    ops, _ = reduction.reduce_coupling_order(SingleOp(s, phi))
+    seq = reduce_one(s, phi)
+    assert all(2 not in (op.i, op.j) for op in seq.ops if isinstance(op, Coupling))
     target = linalg.matrix_exp_hermitian(phi * pauli.materialize(s))
-    assert sim.equal_up_to_phase(run(4, ops), target, 1e-10).equal
-
-
-def test_reduce_coupling_order_rejects_non_z():
-    with pytest.raises(ValueError):
-        reduction.reduce_coupling_order(SingleOp(word("xz"), 0.1))
+    assert sim.equal_up_to_phase(sim.simulate(seq), target, 1e-10).equal
 
 
 def toffoli_plan():
@@ -211,7 +204,7 @@ def test_reduce_plan_single_z_expands_to_three_ops():
 def test_reduce_plan_random_commuting_generators(rng):
     for _ in range(20):
         expansion = random_commuting_expansion(rng, 3)
-        plan = decompose.decompose_commuting(expansion)
+        plan = decompose.plan(expansion)
         seq = reduction.reduce_plan(plan)
         target = sim.simulate_plan(plan)
         assert sim.equal_up_to_phase(target, sim.simulate(seq), 1e-8).equal
