@@ -8,6 +8,7 @@ carries artifacts only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -18,49 +19,45 @@ import numpy as np
 from . import decompose, formats, gates, generator, linalg, pipeline, sim
 from .generator import BranchConvention
 
-# Hard ceiling on compilation size: a non-diagonal input's basis expansion
-# is 4**n (a diagonal one expands in 2**n).
-MAX_COMPILE_SPINS = 10
-
 _PI_FORM = re.compile(r"(?i)^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d+\.?\d*))?$")
 
 
+class OptionError(Exception):
+    """Raised by an option type: main exits 1, argparse would exit 2 on a ValueError."""
+
+
 def parse_angle(text: str) -> float:
-    """Angle in radians; accepts plain floats and pi forms like 'pi/4',
-    '-pi', '3pi/2', '0.5pi'."""
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    """Finite angle in radians; accepts plain floats and pi forms like
+    'pi/4', '-pi', '3pi/2', '0.5pi'."""
     m = _PI_FORM.match(text.strip())
-    if not m:
-        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}")
-    coeff_text, denom_text = m.groups()
-    if coeff_text in ("", "+", "-"):
-        coeff_text += "1"
-    coeff = float(coeff_text)
-    denom = float(denom_text) if denom_text else 1.0
-    return coeff * math.pi / denom
+    with contextlib.suppress(ValueError, ZeroDivisionError):
+        if m is None:
+            angle = float(text)
+        else:
+            coeff, denom = m.groups()
+            coeff += "1" if coeff in ("", "+", "-") else ""
+            angle = float(coeff) * math.pi / float(denom or 1)
+        if math.isfinite(angle):
+            return angle
+    raise OptionError(f"cannot parse angle {text!r} as a finite number")
+
+
+def parse_tol(text: str) -> float:
+    """Tolerance: a finite positive float."""
+    with contextlib.suppress(ValueError):
+        if 0 < (tol := float(text)) < math.inf:
+            return tol
+    raise OptionError(f"tolerance {text!r} is not a finite positive number")
 
 
 def _parse_marked(tokens: list[str], num_spins: int) -> list[int]:
     """Marked states as decimal indices or 0/1 bitstrings of length n."""
-    marked = []
-    for tok in tokens:
-        if len(tok) == num_spins and set(tok) <= {"0", "1"}:
-            marked.append(int(tok, 2))
-        else:
-            marked.append(int(tok, 10))
-    return marked
+    return [int(t, 2 if len(t) == num_spins and set(t) <= {"0", "1"} else 10) for t in tokens]
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--gate",
-        choices=sorted(gates.GATES),
-        help="named target gate",
-    )
+    source.add_argument("--gate", choices=sorted(gates.GATES), help="named target gate")
     source.add_argument("--matrix", metavar="FILE", help="matrix file to compile")
     parser.add_argument("--control", type=int, default=1, help="cnot control spin")
     parser.add_argument("--target", type=int, help="cnot/toffoli target spin")
@@ -84,7 +81,7 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
         "--num-spins", type=int, help="register size (default: smallest that fits)"
     )
     parser.add_argument(
-        "--tol", type=float, default=linalg.DEFAULT_TOL,
+        "--tol", type=parse_tol, default=linalg.DEFAULT_TOL,
         help="input tolerance; verification compares at 10*tol",
     )
 
@@ -96,22 +93,10 @@ def _add_branch_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _compile_target(args) -> np.ndarray:
-    """The target of compile and expand, within MAX_COMPILE_SPINS."""
-    u = _load_target(args)
-    n = linalg.num_spins_for_dim(u.shape[0])
-    if n > MAX_COMPILE_SPINS:
-        raise ValueError(f"{n} spins exceeds the compile limit {MAX_COMPILE_SPINS}")
-    return u
-
-
 def _load_target(args) -> np.ndarray:
     if args.matrix is not None:
         with open(args.matrix, encoding="utf-8") as fh:
-            text = fh.read()
-        if text.lstrip().startswith("{"):
-            return formats.matrix_from_dict(json.loads(text))
-        return formats.parse_matrix(text)
+            return formats.parse_matrix(fh.read())
     name = args.gate
     if name == "cnot":
         target = 2 if args.target is None else args.target
@@ -129,7 +114,6 @@ def _load_target(args) -> np.ndarray:
         if not args.marked:
             raise ValueError("fphase requires --marked")
         return gates.phase_flip(_parse_marked(args.marked, args.num_spins), args.num_spins)
-    raise ValueError(f"unknown gate {name!r}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -141,7 +125,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_compile(args) -> int:
-    u = _compile_target(args)
+    u = _load_target(args)
     n = linalg.num_spins_for_dim(u.shape[0])
     if n > pipeline.DEFAULT_VERIFY_LIMIT:
         print(
@@ -176,7 +160,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    u = _compile_target(args)
+    u = _load_target(args)
     g = generator.extract_generator(u, BranchConvention(args.branch), args.tol)
     expansion = generator.expand(g, args.tol)
     sys.stdout.write(generator.format_expansion(expansion) + "\n")
@@ -199,11 +183,6 @@ def cmd_verify(args) -> int:
         seq = formats.parse_sequence(fh.read())
     target = _load_target(args)
     simulated = sim.simulate(seq)
-    if target.shape != simulated.shape:
-        raise ValueError(
-            f"sequence acts on {seq.num_spins} spins but the target has "
-            f"dimension {target.shape[0]}"
-        )
     # phase is reported so that simulated == e^{i*phase} * target
     comparison = sim.equal_up_to_phase(simulated, target, 10 * args.tol)
     print(f"residual {comparison.residual:.6e}")
@@ -254,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (OptionError, ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

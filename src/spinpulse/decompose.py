@@ -80,17 +80,15 @@ class FactorizedGenerator:
         return len(self.per_spin)
 
     def matrix(self) -> np.ndarray:
-        """Dense Hermitian matrix of the factorized generator."""
-        n = self.num_spins
-        g = np.eye(2**n, dtype=complex)
-        for spin, (phi0, *spin_part) in enumerate(self.per_spin, start=1):
-            factor = phi0 * np.eye(2**n, dtype=complex)
+        """Dense Hermitian matrix: the factors act on different spins, so it
+        is the kron of the 2x2 factors phi0*E + (phi . sigma)/2, spin 1 first."""
+        linalg.require_spin_count(self.num_spins)
+        g = np.ones((1, 1), dtype=complex)
+        for phi0, *spin_part in self.per_spin:
+            factor = phi0 * np.eye(2, dtype=complex)
             for axis, value in zip("xyz", spin_part):
-                if value != 0.0:
-                    factor += value * pauli.materialize(
-                        PauliString.single(n, spin, axis)
-                    )
-            g = g @ factor
+                factor += value * pauli.SIGMA[axis] / 2
+            g = np.kron(g, factor)
         return g
 
 

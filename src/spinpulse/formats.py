@@ -1,19 +1,22 @@
 """Text and JSON file formats for matrices and pulse sequences.
 
 Matrix files: a `spins N` header, then 2**N rows of 2**N whitespace
-separated complex entries written like `0.5-0.5i`, `1`, `-1i`.  Sequence
-files: a `spins N` header, an optional `# phase <real>` line, then one op
-per line in time order, `R <spin> <x|y|z> <angle>` or
-`J <spin_i> <spin_j> <angle>`; angles and phase must be finite.  `#`
-starts a comment (in a matrix file, `# phase` too).  Floats are written
-with shortest round-trip precision so re-parsing reproduces the in-memory
-values exactly.
+separated finite complex entries written like `0.5-0.5i`, `1`, `-1i`.
+Sequence files: a `spins N` header, an optional `# phase <real>` line, then
+one op per line in time order, `R <spin> <x|y|z> <angle>` or
+`J <spin_i> <spin_j> <angle>`; angles and phase must be finite.  `#` starts
+a comment (in a matrix file, `# phase` too).  A file starting with `{` is
+the JSON object of the *_to_dict functions, held to the same rules.  Floats
+are written with shortest round-trip precision so re-parsing reproduces the
+in-memory values exactly.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -41,9 +44,12 @@ def format_complex(z: complex) -> str:
 
 def parse_complex(token: str) -> complex:
     try:
-        return complex(token.replace("i", "j"))
+        z = complex(token.replace("i", "j"))
     except ValueError:
         raise ValueError(f"malformed complex entry {token!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite complex entry {token!r}")
+    return z
 
 
 def _parse_real(value) -> float:
@@ -66,40 +72,52 @@ def _content_lines(text: str, keep_phase: bool = False):
         yield lineno, line
 
 
-def _parse_header(lineno: int, line: str) -> int:
+@contextmanager
+def _at(where: str):
+    """Prefix a ValueError raised inside with the input position `where`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _parse_header(line: str) -> int:
+    """Spin count of a `spins N` header line."""
     parts = line.split()
     if len(parts) != 2 or parts[0] != "spins":
-        raise ValueError(f"line {lineno}: expected 'spins N' header, got {line!r}")
+        raise ValueError(f"expected 'spins N' header, got {line!r}")
     try:
         n = int(parts[1])
     except ValueError:
-        raise ValueError(f"line {lineno}: bad spin count {parts[1]!r}") from None
+        raise ValueError(f"bad spin count {parts[1]!r}") from None
     if n < 1:
-        raise ValueError(f"line {lineno}: spin count must be positive")
+        raise ValueError("spin count must be positive")
     return n
 
 
 def format_matrix(m: np.ndarray) -> str:
     m = np.asarray(m, dtype=complex)
     n = num_spins_for_dim(m.shape[0])
-    lines = [f"spins {n}"]
-    for row in m:
-        lines.append(" ".join(format_complex(z) for z in row))
+    lines = [f"spins {n}"] + [" ".join(format_complex(z) for z in row) for row in m]
     return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str) -> np.ndarray:
+    if text.lstrip().startswith("{"):
+        return matrix_from_dict(json.loads(text))
     lines = list(_content_lines(text))
     if not lines:
         raise ValueError("empty matrix file")
-    n = _parse_header(*lines[0])
+    with _at(f"line {lines[0][0]}"):
+        n = _parse_header(lines[0][1])
     dim = 2**n
     rows = []
     for lineno, line in lines[1:]:
         tokens = line.split()
-        if len(tokens) != dim:
-            raise ValueError(f"line {lineno}: expected {dim} entries, got {len(tokens)}")
-        rows.append([parse_complex(tok) for tok in tokens])
+        with _at(f"line {lineno}"):
+            if len(tokens) != dim:
+                raise ValueError(f"expected {dim} entries, got {len(tokens)}")
+            rows.append([parse_complex(tok) for tok in tokens])
     if len(rows) != dim:
         raise ValueError(f"expected {dim} matrix rows, got {len(rows)}")
     return np.array(rows, dtype=complex)
@@ -118,30 +136,24 @@ def format_sequence(seq: PulseSequence) -> str:
 
 
 def parse_sequence(text: str) -> PulseSequence:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return sequence_from_dict(json.loads(text))
     lines = list(_content_lines(text, keep_phase=True))
     if not lines:
         raise ValueError("empty sequence file")
-    n = _parse_header(*lines[0])
+    with _at(f"line {lines[0][0]}"):
+        n = _parse_header(lines[0][1])
     phase = 0.0
     ops: list[PulseOp] = []
     for lineno, line in lines[1:]:
-        if line.startswith("#"):
-            tokens = line[1:].split()
-            if len(tokens) != 2:
-                raise ValueError(f"line {lineno}: malformed phase line {line!r}")
-            try:
+        with _at(f"line {lineno}"):
+            if line.startswith("#"):
+                tokens = line[1:].split()
+                if len(tokens) != 2:
+                    raise ValueError(f"malformed phase line {line!r}")
                 phase = _parse_real(tokens[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad phase value {tokens[1]!r}") from None
-            continue
-        parts = line.split()
-        try:
-            ops.append(_parse_op(parts, n))
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            else:
+                ops.append(_parse_op(line.split(), n))
     return PulseSequence(n, ops, phase)
 
 
@@ -177,26 +189,29 @@ def sequence_to_dict(seq: PulseSequence) -> dict[str, Any]:
 
 
 def sequence_from_dict(data: dict[str, Any]) -> PulseSequence:
+    """Inverse of sequence_to_dict: each field goes through the text
+    parser's rules as the text it stands for."""
     try:
-        n = int(data["spins"])
-        phase = _parse_real(data.get("phase", 0.0))
+        with _at("spins"):
+            n = _parse_header(f"spins {data['spins']}")
+        with _at("phase"):
+            phase = _parse_real(str(data.get("phase", 0.0)))
         ops: list[PulseOp] = []
-        for entry in data["ops"]:
-            angle = _parse_real(entry["angle"])
-            if entry["kind"] == "rotation":
-                ops.append(Rotation(int(entry["spin"]), entry["axis"], angle))
-            elif entry["kind"] == "coupling":
-                i, j = entry["spins"]
-                ops.append(Coupling(int(i), int(j), angle))
-            else:
-                raise ValueError(f"unknown op kind {entry['kind']!r}")
+        for index, entry in enumerate(data["ops"]):
+            with _at(f"op {index}"):
+                ops.append(_parse_op([str(token) for token in _op_tokens(entry)], n))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed sequence object: {exc}") from None
-    for op in ops:
-        top = op.spin if isinstance(op, Rotation) else op.j
-        if top > n:
-            raise ValueError(f"spin {top} out of range 1..{n}")
     return PulseSequence(n, ops, phase)
+
+
+def _op_tokens(entry: dict[str, Any]) -> list:
+    """Text-format tokens of one op of a sequence object."""
+    if entry["kind"] == "rotation":
+        return ["R", entry["spin"], entry["axis"], entry["angle"]]
+    if entry["kind"] == "coupling":
+        return ["J", *entry["spins"], entry["angle"]]
+    raise ValueError(f"unknown op kind {entry['kind']!r}")
 
 
 def matrix_to_dict(m: np.ndarray) -> dict[str, Any]:
@@ -208,11 +223,14 @@ def matrix_to_dict(m: np.ndarray) -> dict[str, Any]:
 
 def matrix_from_dict(data: dict[str, Any]) -> np.ndarray:
     try:
-        n = int(data["spins"])
+        with _at("spins"):
+            n = _parse_header(f"spins {data['spins']}")
         rows = data["matrix"]
         m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from None
     if m.shape != (2**n, 2**n):
         raise ValueError(f"matrix shape {m.shape} does not match {n} spins")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix object has a non-finite entry")
     return m

@@ -2,7 +2,8 @@
 
 Spin 1 is the most significant bit of the basis index and the low bit
 value 0 is the I_z = +1/2 state, so "control active" means the control bit
-reads 1.
+reads 1.  Each gate is built from its action on basis indices: the
+permutations from the map b -> out[b], the diagonals from a bit mask.
 """
 
 from __future__ import annotations
@@ -12,34 +13,32 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-
-def _bit(index: int, spin: int, num_spins: int) -> int:
-    return (index >> (num_spins - spin)) & 1
+from . import linalg
 
 
-def _check_spins(spins: Sequence[int], num_spins: int) -> None:
+def _basis(spins: Sequence[int], num_spins: int | None) -> tuple[np.ndarray, list[int]]:
+    """Basis indices 0..2**n - 1 and the bit of each spin (n: num_spins or max spin)."""
+    n = num_spins if num_spins is not None else max(spins)
+    linalg.require_spin_count(n)
     if len(set(spins)) != len(spins):
         raise ValueError(f"spin indices must be distinct, got {spins}")
     for spin in spins:
-        if not 1 <= spin <= num_spins:
-            raise ValueError(f"spin {spin} out of range 1..{num_spins}")
+        if not 1 <= spin <= n:
+            raise ValueError(f"spin {spin} out of range 1..{n}")
+    return np.arange(2**n), [1 << (n - spin) for spin in spins]
 
 
-def _resolve_spins(spins: Sequence[int], num_spins: int | None) -> int:
-    n = num_spins if num_spins is not None else max(spins)
-    _check_spins(spins, n)
-    return n
+def _permutation(out: np.ndarray) -> np.ndarray:
+    """Permutation matrix taking basis state b to out[b]."""
+    m = np.zeros((out.size, out.size), dtype=complex)
+    m[out, np.arange(out.size)] = 1
+    return m
 
 
 def cnot(control: int = 1, target: int = 2, num_spins: int | None = None) -> np.ndarray:
     """Controlled flip of `target` when `control` reads 1."""
-    n = _resolve_spins((control, target), num_spins)
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        out = b ^ (1 << (n - target)) if _bit(b, control, n) else b
-        m[out, b] = 1
-    return m
+    b, (c, t) = _basis((control, target), num_spins)
+    return _permutation(np.where(b & c, b ^ t, b))
 
 
 def toffoli(
@@ -48,47 +47,29 @@ def toffoli(
     """Doubly controlled flip (both controls reading 1)."""
     if len(controls) != 2:
         raise ValueError("toffoli takes exactly two controls")
-    n = _resolve_spins((*controls, target), num_spins)
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        if all(_bit(b, c, n) for c in controls):
-            out = b ^ (1 << (n - target))
-        else:
-            out = b
-        m[out, b] = 1
-    return m
+    b, (c1, c2, t) = _basis((*controls, target), num_spins)
+    return _permutation(np.where(b & (c1 | c2) == c1 | c2, b ^ t, b))
 
 
 def swap(i: int = 1, j: int = 2, num_spins: int | None = None) -> np.ndarray:
-    n = _resolve_spins((i, j), num_spins)
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        bi, bj = _bit(b, i, n), _bit(b, j, n)
-        out = b
-        if bi != bj:
-            out = b ^ (1 << (n - i)) ^ (1 << (n - j))
-        m[out, b] = 1
-    return m
+    b, (bi, bj) = _basis((i, j), num_spins)
+    return _permutation(np.where((b & bi == 0) != (b & bj == 0), b ^ bi ^ bj, b))
 
 
 def controlled_phase(
     i: int = 1, j: int = 2, phi: float = math.pi, num_spins: int | None = None
 ) -> np.ndarray:
     """diag with e^{i*phi} where spins i and j both read 1."""
-    n = _resolve_spins((i, j), num_spins)
-    dim = 2**n
-    diag = np.ones(dim, dtype=complex)
-    for b in range(dim):
-        if _bit(b, i, n) and _bit(b, j, n):
-            diag[b] = np.exp(1j * phi)
+    b, (bi, bj) = _basis((i, j), num_spins)
+    diag = np.ones(b.size, dtype=complex)
+    diag[b & (bi | bj) == bi | bj] = np.exp(1j * phi)
     return np.diag(diag)
 
 
 def phase_flip(marked: Iterable[int], num_spins: int) -> np.ndarray:
     """Diagonal of +/-1 flipping the sign of the marked basis states, the
     oracle shape used by amplitude-amplification searches."""
+    linalg.require_spin_count(num_spins)
     dim = 2**num_spins
     diag = np.ones(dim, dtype=complex)
     for state in marked:

@@ -175,22 +175,23 @@ def extract_generator(
 
     Eigenvalues within 10*tol of their cluster's first member (in angle
     order) get one common phase so g stays well defined on degenerate
-    subspaces.  Spins on which u acts as the
-    identity are split off first: only the active core is diagonalized, and
-    g is g_core (x) I on the original spin axes.  When u is diagonal within
+    subspaces.  Spins on which u acts as the identity are split off first:
+    only the active core is diagonalized, and g is g_core (x) I on the
+    original spin axes.  When u is diagonal within
     tol, so is g, and it comes back as its real diagonal: a vector of
     length 2**n in the input basis and order.  Otherwise g is a matrix.
 
     This is the unitarity test of the tolerance model (see CompileOptions):
-    ValueError unless u is square, every peeled spin is idle within tol, the
-    core passes the 10*tol spectral check of linalg.eig_unitary (a diagonal
-    core: every ||lambda| - 1| within 10*tol) and exp(-i*g) rebuilds u
-    within 10*tol.
+    ValueError unless u is square and finite, every peeled spin is idle
+    within tol, the core passes the 10*tol spectral check of
+    linalg.eig_unitary (a diagonal core: every ||lambda| - 1| within
+    10*tol) and exp(-i*g) rebuilds u within 10*tol.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    u = linalg.require_square(u)
     n = linalg.num_spins_for_dim(u.shape[0])
+    # sum |u_ij|**2, not finite when an entry is not: nan passes every test below
+    if not np.isfinite(np.vdot(u, u)):
+        raise ValueError("matrix has a non-finite entry")
     diagonal = np.diagonal(u)
     off_diagonal = np.inf
     # A unitary's columns have unit norm, so if it is diagonal within tol,

@@ -13,12 +13,31 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# Largest register of the CLI and the library: expanding a generator takes
+# 4**n coefficients, simulating a sequence a 2**n x 2**n matrix.
+MAX_SPINS = 10
+
+
+def require_spin_count(n: int) -> None:
+    """ValueError when n exceeds MAX_SPINS; runs before any 2**n allocation."""
+    if n > MAX_SPINS:
+        raise ValueError(f"{n} spins exceeds the compile limit {MAX_SPINS}")
+
+
+def require_square(m: np.ndarray) -> np.ndarray:
+    """m as a complex array; ValueError unless it is a square matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
 
 def num_spins_for_dim(dim: int) -> int:
-    """Return n with 2**n == dim, or raise if dim is not a power of two."""
+    """n with 2**n == dim; ValueError unless dim is a power of two, n <= MAX_SPINS."""
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"matrix dimension {dim} is not a power of two")
+    require_spin_count(n)
     return n
 
 
@@ -37,19 +56,9 @@ def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     identity.  Not part of the compile tolerance model (see
     pipeline.CompileOptions): a compile tests unitarity in
     generator.extract_generator."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    u = require_square(u)
     if max_abs_diff(u @ u.conj().T, np.eye(u.shape[0])) >= tol:
         raise ValueError(f"matrix is not unitary within tolerance {tol}")
-
-
-def require_hermitian(h: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if max_abs_diff(h, h.conj().T) >= tol:
-        raise ValueError(f"matrix is not Hermitian within tolerance {tol}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +84,7 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     eigenvalue has modulus one.  Raises ValueError when the off-diagonal
     weight t leaves or some ||lambda| - 1| exceeds 10*tol.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    u = require_square(u)
     dim = u.shape[0]
     h1 = (u + u.conj().T) / 2
     h2 = (u - u.conj().T) / 2j
@@ -113,7 +120,8 @@ def require_unitary_spectrum(eigenvalues: np.ndarray, off_weight: float, tol: fl
 
 def matrix_exp_hermitian(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """exp(-i*h) for Hermitian h, via eigendecomposition."""
-    h = np.asarray(h, dtype=complex)
-    require_hermitian(h, tol)
+    h = require_square(h)
+    if max_abs_diff(h, h.conj().T) >= tol:
+        raise ValueError(f"matrix is not Hermitian within tolerance {tol}")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w)) @ v.conj().T

@@ -20,14 +20,13 @@ from functools import total_ordering
 
 import numpy as np
 
+from . import linalg
+
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-# Largest register materialize() will build matrices for (2**10 = 1024).
-MAX_MATERIALIZE_SPINS = 10
 
 # (x, z) bits of each slot letter, and the letter of each x + 2*z.
 _BITS = {"0": (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
@@ -131,10 +130,7 @@ def materialize(s: PauliString) -> np.ndarray:
     permutation i**|x&z| * X**x Z**z / 2, which takes basis state b to
     b ^ x with sign (-1)**|z&b|."""
     n = s.num_spins
-    if n > MAX_MATERIALIZE_SPINS:
-        raise ValueError(
-            f"refusing to materialize {n} spins (limit {MAX_MATERIALIZE_SPINS})"
-        )
+    linalg.require_spin_count(n)
     cols = np.arange(2**n)
     parity = (((cols & s.z)[:, None] >> np.arange(n)) & 1).sum(axis=1) % 2
     m = np.zeros((2**n, 2**n), dtype=complex)

@@ -50,6 +50,7 @@ def simulate(seq: PulseSequence) -> np.ndarray:
     e^{+i*a/2} where they differ, so it scales each row by that phase (the
     rows' +-1 signs are computed once per spin pair)."""
     n = seq.num_spins
+    linalg.require_spin_count(n)
     m = np.eye(2**n, dtype=complex)
     rows = np.arange(2**n)
     sign = functools.cache(lambda i, j: 2 * (((rows >> (n - i)) ^ (rows >> (n - j))) & 1) - 1)
@@ -74,6 +75,7 @@ def simulate_plan(plan: DecompositionPlan) -> np.ndarray:
 
     2B is a sigma-string, so each factor has the closed form of _exp_sigma.
     """
+    linalg.require_spin_count(plan.num_spins)
     m = np.eye(2**plan.num_spins, dtype=complex)
     for op in plan.ops:
         m = _exp_sigma(op.angle, 2 * pauli.materialize(op.s)) @ m

@@ -354,3 +354,67 @@ def test_non_finite_sequence_values_exit_1(capsys, tmp_path, text, command):
     code, stdout, stderr = run(capsys, command, str(path), *extra)
     assert code == 1 and stdout == ""
     assert ("non-finite" if text.startswith("{") else "error: line 2:") in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{seq}"],
+        ["verify", "{seq}", "--gate", "cnot", "--num-spins", "11"],
+        ["compile", "--gate", "cnot", "--target", "11"],
+    ],
+)
+def test_spin_ceiling_covers_every_command(capsys, tmp_path, argv):
+    path = tmp_path / "eleven.seq"
+    path.write_text("spins 11\n")
+    code, stdout, stderr = run(capsys, *(arg.format(seq=path) for arg in argv))
+    assert code == 1 and stdout == ""
+    assert "11 spins exceeds the compile limit 10" in stderr
+
+
+@pytest.mark.parametrize("spins", [0, -1])
+def test_json_sequence_header_follows_the_text_rules(capsys, tmp_path, spins):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"spins": spins, "ops": []}))
+    code, stdout, stderr = run(capsys, "simulate", str(path))
+    assert code == 1 and stdout == ""
+    assert "spin count must be positive" in stderr
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("spins 1\nnan 0\n0 1\n", "line 2"),
+        ("spins 1\n1 0\n0 -1e400i\n", "line 3"),
+        ('{"spins": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]}', "matrix object"),
+    ],
+)
+@pytest.mark.parametrize("command", ["compile", "expand"])
+def test_non_finite_matrix_exits_1(capsys, tmp_path, text, where, command):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, stdout, stderr = run(capsys, command, "--matrix", str(path))
+    assert code == 1 and stdout == ""
+    assert "non-finite" in stderr and where in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--gate", "cphase", "--phi", "pi/0"],
+        ["compile", "--gate", "cphase", "--phi", "nan"],
+        ["compile", "--gate", "cphase", "--phi=-inf"],
+        ["compile", "--gate", "cphase", "--phi", "1e400"],
+        ["compile", "--gate", "cnot", "--tol", "inf"],
+        ["expand", "--gate", "cnot", "--tol", "nan"],
+        ["expand", "--gate", "cnot", "--tol", "0"],
+        ["verify", "{seq}", "--gate", "cnot", "--tol", "nan"],
+        ["verify", "{seq}", "--gate", "cnot", "--tol=-1e-9"],
+    ],
+)
+def test_angle_and_tol_out_of_domain_exit_1(capsys, tmp_path, argv):
+    path = tmp_path / "cnot.seq"
+    path.write_text("spins 2\n")
+    code, stdout, stderr = run(capsys, *(arg.format(seq=path) for arg in argv))
+    assert code == 1 and stdout == ""
+    assert "finite" in stderr

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpulse import decompose, generator, linalg, pauli, sim
 from spinpulse.decompose import FactorizedGenerator, SingleOp
@@ -199,3 +201,30 @@ def test_plan_empty_expansion():
     plan = decompose.plan(GeneratorExpansion(2, {}, identity_coeff=0.3))
     assert plan.ops == () and plan.exact
     assert plan.dropped_identity == pytest.approx(0.3)
+
+
+def materialized_factor_product(fg):
+    """The factorized generator as the product of its one-spin factors,
+    each a dense 2**n matrix built from materialized words."""
+    n = fg.num_spins
+    g = np.eye(2**n, dtype=complex)
+    for spin, (phi0, *spin_part) in enumerate(fg.per_spin, start=1):
+        factor = phi0 * np.eye(2**n, dtype=complex)
+        for axis, value in zip("xyz", spin_part):
+            if value != 0.0:
+                factor += value * pauli.materialize(PauliString.single(n, spin, axis))
+        g = g @ factor
+    return g
+
+
+unit = st.floats(-1, 1, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(unit, unit, unit, unit), min_size=1, max_size=6))
+def test_factorized_matrix_is_the_product_of_its_factors(per_spin):
+    fg = FactorizedGenerator(tuple(per_spin))
+    expected = materialized_factor_product(fg)
+    # The same products of entries, which BLAS may round differently.
+    scale = max(1.0, np.max(np.abs(expected)))
+    assert linalg.max_abs_diff(fg.matrix(), expected) <= 1e-15 * scale

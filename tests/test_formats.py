@@ -194,3 +194,37 @@ def test_matrix_round_trips_reproduce_values(m):
     assert np.array_equal(formats.parse_matrix(formats.format_matrix(m)), m)
     data = json.loads(json.dumps(formats.matrix_to_dict(m)))
     assert np.array_equal(formats.matrix_from_dict(data), m)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"spins": 0, "ops": []}, "spins: spin count must be positive"),
+        ({"spins": -1, "ops": []}, "spins: spin count must be positive"),
+        ({"spins": "two", "ops": []}, "spins: bad spin count"),
+        (
+            {"spins": 1, "ops": [
+                {"kind": "rotation", "spin": 1, "axis": "x", "angle": 0.5},
+                {"kind": "rotation", "spin": 2, "axis": "x", "angle": 0.5},
+            ]},
+            "op 1: spin 2 out of range 1..1",
+        ),
+        (
+            {"spins": 2, "ops": [{"kind": "coupling", "spins": [1, 2, 2], "angle": 0.5}]},
+            "op 0: expected 'J <i> <j> <angle>'",
+        ),
+        (
+            {"spins": 1, "ops": [{"kind": "rotation", "spin": 1.5, "axis": "x", "angle": 0}]},
+            "op 0: invalid literal",
+        ),
+    ],
+)
+def test_sequence_object_follows_the_text_rules(data, message):
+    with pytest.raises(ValueError, match=message):
+        formats.sequence_from_dict(data)
+
+
+@pytest.mark.parametrize("token", ["nan", "nani", "1e400", "1-1e400i"])
+def test_parse_complex_rejects_non_finite(token):
+    with pytest.raises(ValueError, match="non-finite"):
+        formats.parse_complex(token)

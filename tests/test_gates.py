@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpulse import gates, generator, linalg, pauli, reduction, sim
 from spinpulse.pulse import PulseSequence
@@ -94,3 +98,53 @@ def test_invalid_indices_rejected():
         gates.cnot(1, 3, num_spins=2)
     with pytest.raises(ValueError):
         gates.toffoli(controls=(1, 2, 3))
+
+
+def _bit(index, spin, num_spins):
+    return (index >> (num_spins - spin)) & 1
+
+
+def per_state_gate(name, spins, n, phi):
+    """The gates' definition, one basis state b at a time: the flips and
+    swap send b to one output state, cphase scales it by a phase."""
+    dim = 2**n
+    if name == "cphase":
+        diag = np.ones(dim, dtype=complex)
+        for b in range(dim):
+            if _bit(b, spins[0], n) and _bit(b, spins[1], n):
+                diag[b] = np.exp(1j * phi)
+        return np.diag(diag)
+    m = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        out = b
+        if name == "swap":
+            i, j = spins
+            if _bit(b, i, n) != _bit(b, j, n):
+                out = b ^ (1 << (n - i)) ^ (1 << (n - j))
+        elif all(_bit(b, c, n) for c in spins[:-1]):  # controls, then the target
+            out = b ^ (1 << (n - spins[-1]))
+        m[out, b] = 1
+    return m
+
+
+BUILDERS = {
+    "cnot": (2, lambda s, phi, n: gates.cnot(s[0], s[1], n)),
+    "toffoli": (3, lambda s, phi, n: gates.toffoli(s[:2], s[2], n)),
+    "swap": (2, lambda s, phi, n: gates.swap(s[0], s[1], n)),
+    "cphase": (2, lambda s, phi, n: gates.controlled_phase(s[0], s[1], phi, n)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BUILDERS)), st.data())
+def test_builders_match_per_state_definition(name, data):
+    arity, build = BUILDERS[name]
+    n = data.draw(st.integers(arity, 7), label="n")
+    spins = data.draw(st.permutations(range(1, n + 1)), label="spins")[:arity]
+    phi = data.draw(st.sampled_from([math.pi, 0.77, -2.5]), label="phi")
+    num_spins = data.draw(st.sampled_from([None, n]), label="num_spins")
+    built = build(spins, phi, num_spins)
+    expected = per_state_gate(name, spins, num_spins or max(spins), phi)
+    # bytes compare the dtype's layout and the signs of zeros too
+    assert built.shape == expected.shape and built.dtype == expected.dtype
+    assert built.tobytes() == expected.tobytes()

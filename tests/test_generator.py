@@ -185,3 +185,15 @@ def test_format_expansion_rendering():
 def test_format_expansion_flags_noncommuting():
     expansion = GeneratorExpansion(1, {word("x"): 0.5, word("z"): 0.5})
     assert generator.format_expansion(expansion).splitlines()[-1] == "# exact false"
+
+
+@pytest.mark.parametrize(
+    "row, col, value",
+    # (2, 1) sits in an off-diagonal block of the idle-looking first spin
+    [(0, 0, np.nan), (0, 1, np.nan), (2, 1, np.nan), (3, 2, np.inf), (1, 1, -np.inf)],
+)
+def test_non_finite_entry_rejected(row, col, value):
+    u = np.eye(4, dtype=complex)
+    u[row, col] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        generator.extract_generator(u)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from spinpulse import linalg
+from spinpulse import gates, linalg, pauli, sim
+from spinpulse.decompose import DecompositionPlan, FactorizedGenerator
+from spinpulse.pulse import PulseSequence
 
 from conftest import expm_series, random_hermitian, random_unitary
 
@@ -115,3 +117,23 @@ def test_num_spins_for_dim():
     assert linalg.num_spins_for_dim(8) == 3
     with pytest.raises(ValueError):
         linalg.num_spins_for_dim(6)
+
+
+CEILING_CASES = {
+    "cnot": lambda: gates.cnot(1, 11),
+    "toffoli": lambda: gates.toffoli((1, 2), 3, 11),
+    "swap": lambda: gates.swap(1, 2, 11),
+    "cphase": lambda: gates.controlled_phase(1, 11),
+    "fphase": lambda: gates.phase_flip([], 11),
+    "simulate": lambda: sim.simulate(PulseSequence(11)),
+    "simulate_plan": lambda: sim.simulate_plan(DecompositionPlan(11, (), True, "commuting")),
+    "materialize": lambda: pauli.materialize(pauli.PauliString(11, 0, 1)),
+    "factorized": lambda: FactorizedGenerator(((0.0, 0.0, 0.0, 1.0),) * 11).matrix(),
+    "matrix": lambda: linalg.num_spins_for_dim(2**11),
+}
+
+
+@pytest.mark.parametrize("build", CEILING_CASES.values(), ids=CEILING_CASES.keys())
+def test_one_spin_ceiling_before_any_full_size_allocation(build):
+    with pytest.raises(ValueError, match="11 spins exceeds the compile limit 10"):
+        build()
