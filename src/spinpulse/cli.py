@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import math
 import re
@@ -21,9 +22,14 @@ from .generator import BranchConvention
 
 _PI_FORM = re.compile(r"(?i)^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d+\.?\d*))?$")
 
+# Options that fill gate-builder parameters; `--spins I J` fills i and j.
+_GATE_OPTIONS = ("control", "target", "controls", "spins", "phi", "marked", "num_spins")
 
-class OptionError(Exception):
-    """Raised by an option type: main exits 1, argparse would exit 2 on a ValueError."""
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise instead of exiting 2, the code of an approximate compile."""
+        raise argparse.ArgumentError(None, message)
 
 
 def parse_angle(text: str) -> float:
@@ -39,39 +45,23 @@ def parse_angle(text: str) -> float:
             angle = float(coeff) * math.pi / float(denom or 1)
         if math.isfinite(angle):
             return angle
-    raise OptionError(f"cannot parse angle {text!r} as a finite number")
-
-
-def parse_tol(text: str) -> float:
-    """Tolerance: a finite positive float."""
-    with contextlib.suppress(ValueError):
-        if 0 < (tol := float(text)) < math.inf:
-            return tol
-    raise OptionError(f"tolerance {text!r} is not a finite positive number")
-
-
-def _parse_marked(tokens: list[str], num_spins: int) -> list[int]:
-    """Marked states as decimal indices or 0/1 bitstrings of length n."""
-    return [int(t, 2 if len(t) == num_spins and set(t) <= {"0", "1"} else 10) for t in tokens]
+    raise argparse.ArgumentTypeError(f"cannot parse angle {text!r} as a finite number")
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--gate", choices=sorted(gates.GATES), help="named target gate")
     source.add_argument("--matrix", metavar="FILE", help="matrix file to compile")
-    parser.add_argument("--control", type=int, default=1, help="cnot control spin")
+    parser.add_argument("--control", type=int, help="cnot control spin")
     parser.add_argument("--target", type=int, help="cnot/toffoli target spin")
     parser.add_argument(
-        "--controls", type=int, nargs=2, default=(1, 2), metavar=("C1", "C2"),
-        help="toffoli control spins",
+        "--controls", type=int, nargs=2, metavar=("C1", "C2"), help="toffoli control spins"
     )
     parser.add_argument(
-        "--spins", type=int, nargs=2, default=(1, 2), metavar=("I", "J"),
-        help="spin pair for swap/cphase",
+        "--spins", type=int, nargs=2, metavar=("I", "J"), help="spin pair for swap/cphase"
     )
     parser.add_argument(
-        "--phi", type=parse_angle, default=math.pi,
-        help="cphase angle in radians ('pi/4' forms accepted)",
+        "--phi", type=parse_angle, help="cphase angle in radians ('pi/4' forms accepted)"
     )
     parser.add_argument(
         "--marked", nargs="+", metavar="STATE",
@@ -81,39 +71,48 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
         "--num-spins", type=int, help="register size (default: smallest that fits)"
     )
     parser.add_argument(
-        "--tol", type=parse_tol, default=linalg.DEFAULT_TOL,
-        help="input tolerance; verification compares at 10*tol",
+        "--tol", type=float, help="input tolerance; verification compares at 10*tol"
     )
 
 
 def _add_branch_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--branch", choices=["lower", "upper"], default="lower",
+        "--branch", type=BranchConvention,
         help="eigenphase interval: lower [-pi, pi) or upper (-pi, pi]",
     )
 
 
+def _options(args, **flags) -> pipeline.CompileOptions:
+    """The compile settings given; CompileOptions supplies and checks the rest."""
+    given = {key: getattr(args, key, None) for key in ("tol", "branch", "trotter_steps")}
+    return pipeline.CompileOptions(**flags, **{k: v for k, v in given.items() if v is not None})
+
+
 def _load_target(args) -> np.ndarray:
-    if args.matrix is not None:
+    """The --matrix file, or the --gate builder called with the gate options
+    given; its signature says which options it takes and which it needs."""
+    builder = gates.GATES.get(args.gate)
+    params = inspect.signature(builder).parameters if builder else {}
+    kwargs = {}
+    for option in _GATE_OPTIONS:
+        if (value := getattr(args, option)) is None:
+            continue
+        names = ("i", "j") if option == "spins" else (option,)
+        if not params.keys() >= set(names):
+            raise ValueError(f"{args.gate or '--matrix'} takes no --{option.replace('_', '-')}")
+        kwargs.update(zip(names, value if option == "spins" else [value]))
+    if builder is None:
         with open(args.matrix, encoding="utf-8") as fh:
             return formats.parse_matrix(fh.read())
-    name = args.gate
-    if name == "cnot":
-        target = 2 if args.target is None else args.target
-        return gates.cnot(args.control, target, args.num_spins)
-    if name == "toffoli":
-        target = 3 if args.target is None else args.target
-        return gates.toffoli(tuple(args.controls), target, args.num_spins)
-    if name == "swap":
-        return gates.swap(*args.spins, num_spins=args.num_spins)
-    if name == "cphase":
-        return gates.controlled_phase(*args.spins, phi=args.phi, num_spins=args.num_spins)
-    if name == "fphase":
-        if args.num_spins is None:
-            raise ValueError("fphase requires --num-spins")
-        if not args.marked:
-            raise ValueError("fphase requires --marked")
-        return gates.phase_flip(_parse_marked(args.marked, args.num_spins), args.num_spins)
+    for name, param in params.items():
+        if param.default is param.empty and name not in kwargs:
+            raise ValueError(f"{args.gate} requires --{name.replace('_', '-')}")
+    if "marked" in kwargs:  # decimal indices or 0/1 bitstrings of length num_spins
+        n = kwargs["num_spins"]
+        kwargs["marked"] = [
+            int(t, 2 if len(t) == n and set(t) <= {"0", "1"} else 10) for t in kwargs["marked"]
+        ]
+    return builder(**kwargs)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -125,28 +124,19 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_compile(args) -> int:
-    u = _load_target(args)
-    n = linalg.num_spins_for_dim(u.shape[0])
-    if n > pipeline.DEFAULT_VERIFY_LIMIT:
-        print(
-            f"warning: {n} spins; verification is disabled above "
-            f"{pipeline.DEFAULT_VERIFY_LIMIT} spins", file=sys.stderr,
-        )
-    options = pipeline.CompileOptions(
-        branch=BranchConvention(args.branch),
-        allow_z=args.allow_z,
-        use_pseudo_cnot=not args.full_cnot,
-        trotter_steps=args.trotter_steps,
-        tol=args.tol,
-        verify=not args.no_verify,
+    options = _options(
+        args, allow_z=args.allow_z, use_pseudo_cnot=not args.full_cnot, verify=not args.no_verify
     )
-    report = pipeline.compile_unitary(u, options)
+    report = pipeline.compile_unitary(_load_target(args), options)
 
     if args.format == "json":
         _emit(json.dumps(formats.sequence_to_dict(report.sequence), indent=2) + "\n", args.out)
     else:
         _emit(formats.format_sequence(report.sequence), args.out)
 
+    if options.verify and report.verified is None:
+        limit = f"verification is disabled above {options.max_verify_spins} spins"
+        print(f"warning: {report.sequence.num_spins} spins; {limit}", file=sys.stderr)
     ops = len(report.sequence.ops)
     summary = f"strategy {report.strategy}; {ops} ops; exact {report.exact}"
     if report.verified is not None:
@@ -160,10 +150,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    u = _load_target(args)
-    g = generator.extract_generator(u, BranchConvention(args.branch), args.tol)
-    expansion = generator.expand(g, args.tol)
-    sys.stdout.write(generator.format_expansion(expansion) + "\n")
+    options = _options(args)
+    g = generator.extract_generator(_load_target(args), options.branch, options.tol)
+    expansion = generator.expand(g, options.tol)
+    exact = "false" if decompose.route(expansion) == decompose.STRATEGY_TROTTER else "true"
+    sys.stdout.write(generator.format_expansion(expansion) + f"# exact {exact}\n")
     return 0
 
 
@@ -181,17 +172,21 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.sequence, encoding="utf-8") as fh:
         seq = formats.parse_sequence(fh.read())
+    options = _options(args)
     target = _load_target(args)
     simulated = sim.simulate(seq)
-    # phase is reported so that simulated == e^{i*phase} * target
-    comparison = sim.equal_up_to_phase(simulated, target, 10 * args.tol)
+    # phase is reported so that simulated == e^{i*phase} * target; the
+    # ledger checks the file's own phase, e^{i*global_phase} * simulated == target
+    comparison = sim.equal_up_to_phase(simulated, target, 10 * options.tol)
+    ledger = linalg.max_abs_diff(np.exp(1j * seq.global_phase) * simulated, target)
     print(f"residual {comparison.residual:.6e}")
     print(f"phase {formats.format_float(comparison.phase)}")
+    print(f"ledger {ledger:.6e}")
     return 0 if comparison.equal else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinpulse",
         description="Compile unitaries into x/y-rotation + Ising-coupling pulse sequences.",
     )
@@ -205,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full-cnot", action="store_true",
         help="use full controlled-flip sandwiches instead of the pseudo variant",
     )
-    p.add_argument(
-        "--trotter-steps", type=int, default=decompose.DEFAULT_TROTTER_STEPS, metavar="K"
-    )
+    p.add_argument("--trotter-steps", type=int, metavar="K")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", metavar="FILE", help="write the sequence here instead of stdout")
@@ -236,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OptionError, ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (argparse.ArgumentError, ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

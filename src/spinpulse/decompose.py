@@ -56,7 +56,6 @@ class DecompositionPlan:
     ops: tuple[SingleOp, ...]
     exact: bool
     strategy: str
-    trotter_steps: int = 0
     dropped_identity: float = 0.0
 
 
@@ -172,26 +171,32 @@ def trotterize(expansion: GeneratorExpansion, steps: int) -> DecompositionPlan:
         ops=tuple(cycle * steps),
         exact=False,
         strategy=STRATEGY_TROTTER,
-        trotter_steps=steps,
         dropped_identity=expansion.identity_coeff,
     )
+
+
+def route(expansion: GeneratorExpansion) -> str:
+    """The route `plan` takes: commuting when all terms commute, euler for
+    exactly two anticommuting terms, trotter (the one inexact route)
+    otherwise."""
+    if expansion.all_commuting():
+        return STRATEGY_COMMUTING
+    return STRATEGY_EULER if len(expansion.coeffs) == 2 else STRATEGY_TROTTER
 
 
 def plan(
     expansion: GeneratorExpansion, trotter_steps: int = DEFAULT_TROTTER_STEPS
 ) -> DecompositionPlan:
-    """Pick a decomposition route: one op per term in basis order when all
-    terms commute, Euler sandwich for exactly two anticommuting terms,
-    first-order formula otherwise."""
-    terms = expansion.terms()
-    if expansion.all_commuting():
-        ops = [SingleOp(word, value) for word, value in terms]
-        strategy = STRATEGY_COMMUTING
-    elif len(terms) == 2:
-        ops = euler_decompose(SingleOp(*terms[0]), SingleOp(*terms[1]))
-        strategy = STRATEGY_EULER
-    else:
+    """Decompose along `route(expansion)`: one op per term in basis order,
+    the Euler sandwich, or the first-order formula."""
+    strategy = route(expansion)
+    if strategy == STRATEGY_TROTTER:
         return trotterize(expansion, trotter_steps)
+    terms = expansion.terms()
+    if strategy == STRATEGY_COMMUTING:
+        ops = [SingleOp(word, value) for word, value in terms]
+    else:
+        ops = euler_decompose(SingleOp(*terms[0]), SingleOp(*terms[1]))
     return DecompositionPlan(
         num_spins=expansion.num_spins,
         ops=tuple(ops),

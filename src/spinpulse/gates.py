@@ -79,7 +79,8 @@ def phase_flip(marked: Iterable[int], num_spins: int) -> np.ndarray:
     return np.diag(diag)
 
 
-# Builders by CLI name: `spinpulse --gate` offers exactly these names.
+# Builders by CLI name: `spinpulse --gate` offers exactly these names, and
+# fills each builder's parameters from the options of the same name.
 GATES = {
     "cnot": cnot,
     "toffoli": toffoli,

@@ -325,11 +325,10 @@ def reconstruct(expansion: GeneratorExpansion) -> np.ndarray:
 
 def format_expansion(expansion: GeneratorExpansion) -> str:
     """Render one `<word> <coefficient>` line per term in basis order, the
-    identity row first when present, plus a trailing commutation flag."""
+    identity row first when present."""
     lines = []
     if expansion.identity_coeff != 0.0:
         lines.append(f"{'0' * expansion.num_spins} {expansion.identity_coeff:.12g}")
     for word, value in expansion.terms():
         lines.append(f"{word} {value:.12g}")
-    lines.append(f"# exact {'true' if expansion.all_commuting() else 'false'}")
-    return "\n".join(lines)
+    return "".join(f"{line}\n" for line in lines)

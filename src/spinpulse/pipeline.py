@@ -3,6 +3,7 @@ and verification by direct simulation up to global phase."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ class CompileOptions:
       within 10*tol; `spinpulse verify` compares at the same bound.
     So an accepted input either takes an approximate route (exit 2) or
     verifies within 10*tol; tests/test_tolerance.py checks this on inputs a
-    few tol away from exact gates.  tol may not go below
+    few tol away from exact gates.  tol must be finite and may not go below
     reduction.ANGLE_EPS (1e-14), the rounding floor under which cancelling
     pulse angles are dropped, so a pulse it drops moves the sequence by
     less than tol/2.
@@ -59,8 +60,10 @@ class CompileOptions:
     max_verify_spins: int = DEFAULT_VERIFY_LIMIT
 
     def __post_init__(self):
-        if not self.tol >= reduction.ANGLE_EPS:  # NaN fails this too
-            raise ValueError(f"tol must be at least the angle floor {reduction.ANGLE_EPS:g}")
+        if not reduction.ANGLE_EPS <= self.tol < math.inf:  # NaN fails this too
+            raise ValueError(
+                f"tol must be finite and at least the angle floor {reduction.ANGLE_EPS:g}"
+            )
         if self.trotter_steps < 1:
             raise ValueError("trotter_steps must be at least 1")
 

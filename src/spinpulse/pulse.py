@@ -53,6 +53,3 @@ class PulseSequence:
     num_spins: int
     ops: list[PulseOp] = field(default_factory=list)
     global_phase: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.ops)

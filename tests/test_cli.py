@@ -1,11 +1,19 @@
+import contextlib
+import io
+import itertools
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpulse import formats, gates, linalg, pauli, sim
 from spinpulse.cli import build_parser, main, parse_angle
 from spinpulse.pauli import PauliString
+from spinpulse.pipeline import compile_unitary
 
 
 def run(capsys, *argv):
@@ -227,10 +235,9 @@ def test_full_cnot_flag(capsys):
 def test_gate_choices_come_from_gates_table(capsys):
     for name in gates.GATES:
         assert build_parser().parse_args(["compile", "--gate", name]).gate == name
-    with pytest.raises(SystemExit) as exc:
-        main(["compile", "--gate", "hadamard"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    code, stdout, stderr = run(capsys, "compile", "--gate", "hadamard")
+    assert code == 1 and stdout == ""
+    assert "invalid choice" in stderr
 
 
 def test_tiny_cphase_compiles_at_tight_tol(capsys):
@@ -279,7 +286,7 @@ def test_ten_spin_diagonal_compiles(capsys):
     )
     assert code == 0
     assert len(formats.parse_sequence(stdout).ops) == 2755
-    assert "warning: 10 spins; verification is disabled above 6 spins" in stderr
+    assert "warning" not in stderr
 
 
 def test_verify_agrees_with_compile_on_near_idle_spins(capsys, tmp_path):
@@ -398,23 +405,83 @@ def test_non_finite_matrix_exits_1(capsys, tmp_path, text, where, command):
     assert "non-finite" in stderr and where in stderr
 
 
+USAGE_ERRORS = [
+    (["compile", "--gate", "cphase", "--phi", "pi/0"], "finite"),
+    (["compile", "--gate", "cphase", "--phi", "nan"], "finite"),
+    (["compile", "--gate", "cphase", "--phi=-inf"], "finite"),
+    (["compile", "--gate", "cphase", "--phi", "1e400"], "finite"),
+    (["compile", "--gate", "cnot", "--tol", "inf"], "finite"),
+    (["expand", "--gate", "cnot", "--tol", "nan"], "finite"),
+    (["expand", "--gate", "cnot", "--tol", "0"], "finite"),
+    (["verify", "{seq}", "--gate", "cnot", "--tol", "nan"], "finite"),
+    (["verify", "{seq}", "--gate", "cnot", "--tol=-1e-9"], "finite"),
+    # argparse's own errors exit 1 too, not 2 (an approximate compile)
+    (["compile", "--gate", "hadamard"], "invalid choice"),
+    (["compile", "--gate", "cnot", "--num-spins", "x"], "invalid int value"),
+    (["compile"], "--gate --matrix is required"),
+    # a gate option the builder does not take, or a --matrix with one
+    (["compile", "--gate", "cnot", "--phi", "1"], "cnot takes no --phi"),
+    (["compile", "--gate", "swap", "--controls", "1", "3"], "swap takes no --controls"),
+    (["expand", "--matrix", "{seq}", "--num-spins", "2"], "--matrix takes no --num-spins"),
+    # one tol rule in all three commands
+    (["expand", "--gate", "cnot", "--tol", "1e-15"], "angle floor"),
+    (["verify", "{seq}", "--gate", "cnot", "--tol", "1e-15"], "angle floor"),
+]
+
+
+# Ids by position; the message strings would make long ones.
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["compile", "--gate", "cphase", "--phi", "pi/0"],
-        ["compile", "--gate", "cphase", "--phi", "nan"],
-        ["compile", "--gate", "cphase", "--phi=-inf"],
-        ["compile", "--gate", "cphase", "--phi", "1e400"],
-        ["compile", "--gate", "cnot", "--tol", "inf"],
-        ["expand", "--gate", "cnot", "--tol", "nan"],
-        ["expand", "--gate", "cnot", "--tol", "0"],
-        ["verify", "{seq}", "--gate", "cnot", "--tol", "nan"],
-        ["verify", "{seq}", "--gate", "cnot", "--tol=-1e-9"],
-    ],
+    "argv, message", USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))]
 )
-def test_angle_and_tol_out_of_domain_exit_1(capsys, tmp_path, argv):
+def test_angle_and_tol_out_of_domain_exit_1(capsys, tmp_path, argv, message):
     path = tmp_path / "cnot.seq"
     path.write_text("spins 2\n")
     code, stdout, stderr = run(capsys, *(arg.format(seq=path) for arg in argv))
     assert code == 1 and stdout == ""
-    assert "finite" in stderr
+    assert message in stderr
+
+
+def test_verification_warning_follows_the_report(capsys):
+    # Above 6 spins compile skips verification: it warns when verification
+    # was asked for, and stays quiet under --no-verify.
+    argv = ["compile", "--gate", "cnot", "--num-spins", "7"]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 0
+    assert "warning: 7 spins; verification is disabled above 6 spins" in stderr
+    code, _, stderr = run(capsys, *argv, "--no-verify")
+    assert code == 0 and "warning" not in stderr
+
+
+def test_verify_reports_the_phase_ledger(capsys, tmp_path):
+    seq_path = tmp_path / "cnot.seq"
+    code, _, _ = run(capsys, "compile", "--gate", "cnot", "--out", str(seq_path))
+    assert code == 0
+    code, stdout, _ = run(capsys, "verify", str(seq_path), "--gate", "cnot")
+    assert code == 0
+    label, value = stdout.splitlines()[2].split()
+    assert label == "ledger" and float(value) < 10 * linalg.DEFAULT_TOL
+    # A ledger off by 0.1 still matches up to phase: exit 0, ledger |e^{0.1i} - 1|.
+    seq = formats.parse_sequence(seq_path.read_text())
+    seq.global_phase += 0.1
+    seq_path.write_text(formats.format_sequence(seq))
+    code, stdout, _ = run(capsys, "verify", str(seq_path), "--gate", "cnot")
+    assert code == 0
+    assert float(stdout.splitlines()[2].split()[1]) == pytest.approx(abs(np.exp(0.1j) - 1))
+
+
+WORDS = {n: ["".join(w) for w in itertools.product("0xyz", repeat=n)][1:] for n in (1, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2), data=st.data())
+def test_expand_exact_flag_matches_compile(n, data):
+    words = data.draw(st.lists(st.sampled_from(WORDS[n]), min_size=1, max_size=4, unique=True))
+    coeffs = st.floats(0.05, 1.5) | st.floats(-1.5, -0.05)
+    g = sum(data.draw(coeffs) * pauli.materialize(PauliString.from_string(w)) for w in words)
+    u = linalg.matrix_exp_hermitian(g)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        path = pathlib.Path(tmp) / "u.txt"
+        path.write_text(formats.format_matrix(u))
+        assert main(["expand", "--matrix", str(path)]) == 0
+    flag = out.getvalue().splitlines()[-1]
+    assert flag == f"# exact {'true' if compile_unitary(u).exact else 'false'}"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spinpulse import generator, linalg, pauli
+from spinpulse import formats, generator, linalg, pauli
+from spinpulse.cli import main
 from spinpulse.generator import BranchConvention, GeneratorExpansion
 from spinpulse.pauli import PauliString
 
@@ -171,7 +172,7 @@ def test_clusters_stay_narrow_next_to_the_cut():
     np.testing.assert_allclose(g, [4.95e-9, 4.95e-9] + [-9.9e-9] * 6, rtol=1e-6)
 
 
-def test_format_expansion_rendering():
+def test_format_expansion_rendering(capsys):
     expansion = GeneratorExpansion(
         2, {word("z0"): np.pi / 2, word("0x"): -0.25}, identity_coeff=-np.pi / 4
     )
@@ -179,12 +180,21 @@ def test_format_expansion_rendering():
     assert lines[0].startswith("00 ")
     assert lines[1] == "0x -0.25"
     assert lines[2].startswith("z0 ")
-    assert lines[3] == "# exact true"
+    assert len(lines) == 3
+    # the `# exact` flag is the compile route's, which `spinpulse expand` adds
+    assert main(["expand", "--gate", "cphase", "--phi", "pi/2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "# exact true"
 
 
-def test_format_expansion_flags_noncommuting():
-    expansion = GeneratorExpansion(1, {word("x"): 0.5, word("z"): 0.5})
-    assert generator.format_expansion(expansion).splitlines()[-1] == "# exact false"
+def test_format_expansion_flags_noncommuting(capsys, tmp_path):
+    # Three pairwise anticommuting terms take the inexact product-formula route.
+    g = sum(c * pauli.materialize(word(a)) for a, c in (("x", 0.3), ("y", 0.4), ("z", 0.5)))
+    path = tmp_path / "xyz.txt"
+    path.write_text(formats.format_matrix(linalg.matrix_exp_hermitian(g)))
+    assert main(["expand", "--matrix", str(path)]) == 0
+    *table, flag = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in table if line[0] != "0"] == ["x", "y", "z"]
+    assert flag == "# exact false"
 
 
 @pytest.mark.parametrize(

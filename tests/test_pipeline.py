@@ -129,6 +129,12 @@ def test_rejects_bad_options():
         pipeline.CompileOptions(trotter_steps=0)
 
 
+def test_rejects_infinite_tol():
+    # At tol=inf a cnot compiled to no pulses and still read exact and verified.
+    with pytest.raises(ValueError, match="finite"):
+        pipeline.CompileOptions(tol=math.inf)
+
+
 def test_factorized_controlled_phase():
     fg = FactorizedGenerator(((np.pi / 2, 0, 0, -np.pi), (0.5, 0, 0, -1)))
     report = pipeline.compile_factorized(fg)
