@@ -187,15 +187,24 @@ def route(expansion: GeneratorExpansion) -> str:
 def plan(
     expansion: GeneratorExpansion, trotter_steps: int = DEFAULT_TROTTER_STEPS
 ) -> DecompositionPlan:
-    """Decompose along `route(expansion)`: one op per term in basis order,
-    the Euler sandwich, or the first-order formula."""
+    """Decompose along `route(expansion)`: one op per term, the Euler
+    sandwich, or the first-order formula.
+
+    Commuting terms may go in any order; they go in the Gray-code order of
+    their z masks (PauliString.gray_rank), ties in basis order.  Neighbouring
+    z masks then differ in one spin, so the flip sandwiches reduction puts
+    around consecutive words share their outer levels and cancel in the
+    peephole, as the CNOT ladders of Gray-ordered diagonal terms do in Welch
+    et al., NJP 16:033040 (2014).
+    """
     strategy = route(expansion)
     if strategy == STRATEGY_TROTTER:
         return trotterize(expansion, trotter_steps)
-    terms = expansion.terms()
     if strategy == STRATEGY_COMMUTING:
+        terms = sorted(expansion.coeffs.items(), key=lambda term: (term[0].gray_rank, term[0]))
         ops = [SingleOp(word, value) for word, value in terms]
     else:
+        terms = expansion.terms()
         ops = euler_decompose(SingleOp(*terms[0]), SingleOp(*terms[1]))
     return DecompositionPlan(
         num_spins=expansion.num_spins,

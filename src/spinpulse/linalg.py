@@ -75,9 +75,9 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
 
     Diagonalizes the Hermitian pair h1 = (u + u†)/2 and h2 = (u - u†)/2i:
     h1 first, then h2 restricted to each degenerate eigenspace of h1 (h1
-    eigenvalues within 10*tol of their neighbours count as one).  The
-    result is a common orthonormal eigenbasis, valid for any normal matrix,
-    using only Hermitian eigensolvers.
+    eigenvalues within 10*tol of their neighbours count as one), unless h2
+    is exactly zero.  The result is a common orthonormal eigenbasis, valid
+    for any normal matrix, using only Hermitian eigensolvers.
 
     Unitarity is read off the result instead of a separate u @ u† check: u
     is unitary iff a unitary t diagonalizes it (u is normal) and every
@@ -90,17 +90,20 @@ def eig_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     h2 = (u - u.conj().T) / 2j
     w, v = np.linalg.eigh(h1)
 
-    start = 0
-    for stop in range(1, dim + 1):
-        if stop < dim and w[stop] - w[stop - 1] <= 10 * tol:
-            continue
-        if stop - start > 1:
-            block = v[:, start:stop]
-            sub = block.conj().T @ h2 @ block
-            sub = (sub + sub.conj().T) / 2
-            _, rot = np.linalg.eigh(sub)
-            v[:, start:stop] = block @ rot
-        start = stop
+    # h2 is exactly zero when u = u† (cnot, toffoli, swap); every cluster's
+    # eigh would then return the identity.
+    if h2.any():
+        start = 0
+        for stop in range(1, dim + 1):
+            if stop < dim and w[stop] - w[stop - 1] <= 10 * tol:
+                continue
+            if stop - start > 1:
+                block = v[:, start:stop]
+                sub = block.conj().T @ h2 @ block
+                sub = (sub + sub.conj().T) / 2
+                _, rot = np.linalg.eigh(sub)
+                v[:, start:stop] = block @ rot
+            start = stop
 
     t = v.conj().T
     diag = t @ u @ t.conj().T

@@ -99,6 +99,16 @@ class PauliString:
         return 2 * int(f"{self.z:b}", 4) + int(f"{self.x ^ self.z:b}", 4)
 
     @property
+    def gray_rank(self) -> int:
+        """Position of the z mask in the binary reflected Gray code, whose
+        neighbours differ in one spin: the XOR of the mask's right shifts."""
+        rank, z = 0, self.z
+        while z:
+            rank ^= z
+            z >>= 1
+        return rank
+
+    @property
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
 

@@ -8,7 +8,9 @@ bare z rotation becomes a composite of x/y pulses.  Coupling order
 reduction: a z-word of weight three or more is reduced by nested flips;
 conjugating by a (pseudo) controlled flip on a spin pair raises the
 coupling order of the inner block by one, so an n-spin coupling is one
-coupling inside n-2 flip sandwiches.
+coupling inside n-2 flip sandwiches.  `peephole` then merges pulses on the
+same target across the pulses they commute with, which cancels most of the
+sandwiches that neighbouring words share.
 
 All sequences here are in time order.  Angles are meaningful modulo 4*pi
 (a 2*pi rotation is -identity, a physical phase).
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 
 from .decompose import DecompositionPlan
 from .pulse import Coupling, PulseOp, PulseSequence, Rotation
@@ -124,7 +127,8 @@ def reduce_plan(
 ) -> PulseSequence:
     """The one rewriting of a plan into pulses: weight-1 x/y ops pass
     through, every other word is axis-transformed and order-reduced, z
-    rotations are expanded unless allowed, and adjacent pulses are merged.
+    rotations are expanded unless allowed, and `peephole` merges the pulses
+    unless `merge` is False.
     The ledger is phase-exact: pseudo flips add no phase, full flips add
     their sequence phase twice per level.
 
@@ -155,26 +159,86 @@ def reduce_plan(
 
 
 def peephole(seq: PulseSequence) -> PulseSequence:
-    """Merge directly adjacent pulses with the same target (angles add
-    modulo 4*pi) and drop identity pulses.  Strictly adjacent: nothing is
-    reordered, even across commuting neighbors.  Targets, (spin, axis) or
-    (i, j), sit on a stack parallel to the output; a pulse is rebuilt only
-    when its angle changed.
+    """Merge each pulse into the latest earlier pulse with the same target,
+    (spin, axis) or (i, j), when every pulse in between commutes with it;
+    angles add modulo 4*pi, and identity pulses are dropped.  Besides its
+    own target, a pulse commutes with:
+
+        coupling i-j    couplings, z rotations, x/y rotations off i and j
+        z rotation      couplings, z rotations, rotations on other spins
+        x/y rotation    rotations on other spins, couplings off its spin
+
+    The later pulse slides back past commuting ones to the earlier slot, so
+    the merge is exact.  One pass keeps, per target, a stack of its live
+    slots, and per spin the slots of its x/y rotations and of its diagonal
+    pulses (z rotations and couplings).  A cancelled slot turns None: it
+    leaves its target's and x/y stacks at once and a diagonal stack when
+    that is next read, which exposes the pulses before it to later merges.
+    The pass is its own fixpoint: what blocks a pulse cannot be cancelled
+    later, since the pulse that would cancel it would have to slide past
+    the blocked one.  Angles are wrapped only outside (-2*pi, 2*pi], the
+    range on which wrap_angle is the identity.
     """
-    out: list[PulseOp] = []
-    targets: list[tuple] = []
+    tau = math.tau
+    out: list[PulseOp | None] = []
+    live: dict[tuple, list[int]] = defaultdict(list)
+    xy: dict[int, list[int]] = defaultdict(list)
+    diagonal: dict[int, list[int]] = defaultdict(list)
     for op in seq.ops:
-        angle = wrap_angle(op.angle)
+        angle = op.angle
+        if not -tau < angle <= tau:
+            angle = wrap_angle(angle)
         if abs(angle) < ANGLE_EPS:
             continue
-        target = (op.spin, op.axis) if isinstance(op, Rotation) else (op.i, op.j)
-        if targets and targets[-1] == target:
-            targets.pop()
-            angle = wrap_angle(out.pop().angle + angle)
-            if abs(angle) < ANGLE_EPS:
-                continue
-        if angle != op.angle:
-            op = type(op)(*target, angle)
+        if type(op) is Rotation:
+            spin, axis = op.spin, op.axis
+            slots = live[spin, axis]
+            transverse = axis != "z"
+            if slots:
+                k = slots[-1]
+                if transverse:
+                    on = diagonal[spin]
+                    while on and out[on[-1]] is None:
+                        on.pop()
+                    free = xy[spin][-1] == k and (not on or on[-1] < k)
+                else:
+                    on = xy[spin]
+                    free = not on or on[-1] < k
+                if free:
+                    angle = out[k].angle + angle
+                    if not -tau < angle <= tau:
+                        angle = wrap_angle(angle)
+                    if abs(angle) >= ANGLE_EPS:
+                        out[k] = Rotation(spin, axis, angle)
+                        continue
+                    out[k] = None
+                    slots.pop()
+                    if transverse:
+                        xy[spin].pop()
+                    continue
+            if angle != op.angle:
+                op = Rotation(spin, axis, angle)
+            (xy if transverse else diagonal)[spin].append(len(out))
+        else:
+            i, j = op.i, op.j
+            slots = live[i, j]
+            if slots:
+                k = slots[-1]
+                on_i, on_j = xy[i], xy[j]
+                if (not on_i or on_i[-1] < k) and (not on_j or on_j[-1] < k):
+                    angle = out[k].angle + angle
+                    if not -tau < angle <= tau:
+                        angle = wrap_angle(angle)
+                    if abs(angle) >= ANGLE_EPS:
+                        out[k] = Coupling(i, j, angle)
+                        continue
+                    out[k] = None
+                    slots.pop()
+                    continue
+            if angle != op.angle:
+                op = Coupling(i, j, angle)
+            diagonal[i].append(len(out))
+            diagonal[j].append(len(out))
+        slots.append(len(out))
         out.append(op)
-        targets.append(target)
-    return PulseSequence(seq.num_spins, out, seq.global_phase)
+    return PulseSequence(seq.num_spins, [op for op in out if op is not None], seq.global_phase)

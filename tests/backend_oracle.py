@@ -1,10 +1,11 @@
-"""The pulse back end as it stood before its one-pass rewrite, kept
-verbatim as an oracle: `reduce_plan` (with the recursive
+"""Naive forms of the pulse back end, kept as an oracle: `reduce_plan` as
+it stood before its one-pass rewrite (with the recursive
 `reduce_coupling_order` and a second pass that expands z rotations),
-`peephole` (built on `dataclasses.replace`) and `simulate` (one `np.eye`
-per rotation).  Only the rounding floor ANGLE_EPS is shared with the
-package.  tests/test_kernels.py requires the package's passes to
-reproduce these bit for bit."""
+`peephole` as a backward scan over commuting pulses repeated to a
+fixpoint (built on `dataclasses.replace`), and `simulate` as it stood
+before its rewrite (one `np.eye` per rotation).  Only the rounding floor
+ANGLE_EPS is shared with the package.  tests/test_kernels.py requires the
+package's passes to reproduce these bit for bit."""
 
 from __future__ import annotations
 
@@ -169,23 +170,53 @@ def _same_target(a: PulseOp, b: PulseOp) -> bool:
     return False
 
 
-def peephole(seq: PulseSequence) -> PulseSequence:
-    """Merge directly adjacent pulses with the same target (angles add
-    modulo 4*pi) and drop identity pulses.  Strictly adjacent: nothing is
-    reordered, even across commuting neighbors."""
+def _commute(a: PulseOp, b: PulseOp) -> bool:
+    """Couplings commute with each other and with z rotations, rotations on
+    different spins commute, and an x/y rotation commutes with a coupling
+    off its spin."""
+    if isinstance(a, Coupling) and isinstance(b, Coupling):
+        return True
+    if isinstance(a, Rotation) and isinstance(b, Rotation):
+        return a.spin != b.spin or a.axis == b.axis
+    rotation, coupling = (a, b) if isinstance(a, Rotation) else (b, a)
+    return rotation.axis == "z" or rotation.spin not in (coupling.i, coupling.j)
+
+
+def _merge_pass(ops: list[PulseOp]) -> list[PulseOp]:
+    """Each pulse scans back over the pulses it commutes with and merges
+    into the first one with its target, else it is appended."""
     out: list[PulseOp] = []
-    for op in seq.ops:
+    for op in ops:
         angle = wrap_angle(op.angle)
         if abs(angle) < ANGLE_EPS:
             continue
-        current: PulseOp | None = replace(op, angle=angle)
-        while current is not None and out and _same_target(out[-1], current):
-            angle = wrap_angle(out[-1].angle + current.angle)
-            out.pop()
-            current = None if abs(angle) < ANGLE_EPS else replace(current, angle=angle)
+        current = replace(op, angle=angle)
+        for k in range(len(out) - 1, -1, -1):
+            if _same_target(out[k], current):
+                angle = wrap_angle(out[k].angle + current.angle)
+                if abs(angle) < ANGLE_EPS:
+                    del out[k]
+                else:
+                    out[k] = replace(current, angle=angle)
+                current = None
+                break
+            if not _commute(out[k], current):
+                break
         if current is not None:
             out.append(current)
-    return PulseSequence(seq.num_spins, out, seq.global_phase)
+    return out
+
+
+def peephole(seq: PulseSequence) -> PulseSequence:
+    """Merge pulses with the same target across commuting neighbours (angles
+    add modulo 4*pi) and drop identity pulses, repeating the scan until it
+    changes nothing."""
+    ops = list(seq.ops)
+    while True:
+        merged = _merge_pass(ops)
+        if merged == ops:
+            return PulseSequence(seq.num_spins, merged, seq.global_phase)
+        ops = merged
 
 
 def _exp_sigma(angle: float, sigma: np.ndarray) -> np.ndarray:

@@ -285,7 +285,7 @@ def test_ten_spin_diagonal_compiles(capsys):
         "--no-verify",
     )
     assert code == 0
-    assert len(formats.parse_sequence(stdout).ops) == 2755
+    assert len(formats.parse_sequence(stdout).ops) == 2515
     assert "warning" not in stderr
 
 

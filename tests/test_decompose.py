@@ -35,7 +35,9 @@ def test_commuting_toffoli_expansion():
     plan = decompose.plan(expansion)
     assert plan.exact and plan.strategy == "commuting"
     assert len(plan.ops) == 7  # identity term excluded
-    assert [op.s for op in plan.ops] == sorted(op.s for op in plan.ops)
+    # Gray-code order of the z masks, ties in basis order.
+    words = [op.s for op in plan.ops]
+    assert words == sorted(sorted(words), key=lambda s: s.gray_rank)
 
 
 def test_commuting_single_term():

@@ -1,11 +1,15 @@
-"""Byte-exact pins on emitted sequence text.
+"""Byte-exact pins on emitted sequence text, and a check that each pinned
+file realizes its target.
 
-The files under tests/golden/ hold the `format_sequence` text of each case
-as produced before the vectorized expand/extract/simulate kernels replaced
-the recursive and kron-based ones; swap_9 and cphase_9 were produced before
-generator extraction split off idle spins.  Kernel rewrites must
-keep every byte; a change that is meant to alter output updates these files
-and says why.
+The files under tests/golden/ hold the `format_sequence` text of each case.
+cnot and swap date from before the vectorized expand/extract/simulate
+kernels, swap_9 from before generator extraction split off idle spins; the
+other seven were re-pinned when the peephole began merging across
+commuting pulses and commuting words began to go in Gray-code order
+(toffoli 23 -> 19 pulses, toffoli_6 21 -> 19, phase_flip_5 92 -> 86,
+haar_2 132 -> 128; cphase, fphase and cphase_9 reordered at equal length).
+Kernel rewrites must keep every byte; a change that is meant to alter
+output updates these files and says why.
 
 The diagonal cases (cphase, fphase, phase_flip_5, cphase_9) never call
 `eigh`, so their bytes do not depend on the numerical library.  The others
@@ -13,12 +17,12 @@ The diagonal cases (cphase, fphase, phase_flip_5, cphase_9) never call
 carry the last bits of LAPACK's eigenvectors (cnot pins 1.5707963267948963,
 not ...66), and a BLAS build or CPU that picks other kernels can move those
 bits with no defect in this package.  To regenerate on a new platform,
-check out the commit that first pinned a case (for the first eight, the one
-before "Vectorize the expand, extract and simulate kernels"; for swap_9 and
-cphase_9, the one before "Diagonalize only the active core in generator
-extraction"), build its target from CASES below with it and write
+check out the commit that last changed a case's file
+(`git log -1 -- tests/golden/<name>.seq`), build its target from CASES
+below with it and write
 `formats.format_sequence(compile_unitary(u, options).sequence)` to
-tests/golden/<name>.seq; then run this test on the current tree.
+tests/golden/<name>.seq; then run this module on the current tree, whose
+realization test checks the new file independently of its bytes.
 """
 
 from pathlib import Path
@@ -26,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinpulse import formats, gates
+from spinpulse import decompose, formats, gates, generator, linalg, sim
 from spinpulse.pipeline import CompileOptions, compile_unitary
 
 from conftest import haar_unitary
@@ -68,3 +72,23 @@ def test_haar_case_takes_the_product_formula_route():
     report = compile_unitary(u, options)
     assert report.strategy == "trotter"
     assert not report.exact
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pinned_sequence_realizes_its_target(name):
+    # No phase is fitted: the file's pulses times e^{i*phase} must give the
+    # target within 10*tol.  haar_2 is approximate, so its target is the
+    # product formula it was compiled from, and up to phase it lies within
+    # the reported residual of u (the ledger alone reads 0.15965 against a
+    # fitted 0.15960: the formula's error has a global-phase part).
+    u, options = CASES[name]
+    seq = formats.parse_sequence((GOLDEN / f"{name}.seq").read_text(encoding="utf-8"))
+    realized = np.exp(1j * seq.global_phase) * sim.simulate(seq)
+    target = u
+    if name == "haar_2":
+        g = generator.extract_generator(u, options.branch, options.tol)
+        plan = decompose.plan(generator.expand(g, options.tol), options.trotter_steps)
+        target = np.exp(-1j * plan.dropped_identity) * sim.simulate_plan(plan)
+        residual = compile_unitary(u, options).verification_residual
+        assert sim.equal_up_to_phase(u, sim.simulate(seq)).residual <= residual
+    assert linalg.max_abs_diff(realized, target) < 10 * options.tol

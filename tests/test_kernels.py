@@ -4,10 +4,11 @@ simulation against a product of kron-built pulse matrices, the vectorized
 commutation check against the pairwise one, idle-spin extraction
 against a kron-built embedding of the core's generator, the diagonal
 path (generator vector and Walsh-Hadamard expansion) against the matrix
-path, and the one-pass pulse back end against its earlier form
+path, and the one-pass pulse back end against its earlier or naive form
 (backend_oracle.py)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,6 +412,37 @@ def peephole_inputs(draw):
 @given(peephole_inputs())
 def test_peephole_matches_replace_based_peephole(seq):
     assert same_sequence(reduction.peephole(seq), backend_oracle.peephole(seq))
+
+
+@st.composite
+def sliding_inputs(draw):
+    """Pulse lists over every target of n <= 4 spins, z rotations included,
+    so that pulses slide past commuting neighbours and stop at others.
+    Some pulses undo an earlier one, as the closing half of a sandwich
+    does, so that cancellations expose the pulses before them."""
+    n = draw(st.integers(1, 4))
+    targets = [Rotation(spin, axis, 0.0) for spin in range(1, n + 1) for axis in "xyz"]
+    targets += [Coupling(i, j, 0.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pool = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=6))
+    ops = []
+    for _ in range(draw(st.integers(0, 24))):
+        if ops and draw(st.booleans()):
+            op = draw(st.sampled_from(ops))
+            ops.append(replace(op, angle=-op.angle))
+        else:
+            ops.append(replace(draw(st.sampled_from(pool)), angle=draw(plan_angles)))
+    return PulseSequence(n, ops, draw(st.floats(-4, 4, allow_nan=False)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sliding_inputs(), peephole_inputs()))
+def test_peephole_preserves_the_simulated_matrix(seq):
+    merged = reduction.peephole(seq)
+    assert len(merged.ops) <= len(seq.ops)
+    assert merged.global_phase == seq.global_phase
+    # Entry by entry, with no phase fitted: the ledger needs no change.
+    assert linalg.max_abs_diff(sim.simulate(merged), sim.simulate(seq)) < 1e-12
+    assert same_sequence(merged, backend_oracle.peephole(seq))
 
 
 @st.composite

@@ -37,6 +37,20 @@ def test_eig_toffoli_spectrum():
     np.testing.assert_allclose(values, [-1] + [1] * 7, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["cnot", "toffoli", "swap"])
+def test_eig_of_hermitian_unitary_runs_one_eigh(monkeypatch, name):
+    # u = u† makes h2 exactly zero, so the degenerate clusters of h1 (each
+    # gate has one of dimension >= 2) need no second diagonalization.
+    u = gates.GATES[name]()
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    decomp = linalg.eig_unitary(u)
+    assert calls == [u.shape]
+    rebuilt = decomp.t.conj().T @ np.diag(decomp.eigenvalues) @ decomp.t
+    assert linalg.max_abs_diff(rebuilt, u) < 1e-12
+
+
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_eig_reconstruction(rng, dim):
     for _ in range(5):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,9 +230,31 @@ def test_peephole_cancels_adjacent_inverse():
 
 
 def test_peephole_does_not_merge_across_neighbors():
-    ops = [Rotation(1, "x", np.pi / 2), Rotation(2, "y", 0.3), Rotation(1, "x", np.pi / 2)]
-    seq = reduction.peephole(PulseSequence(2, list(ops)))
-    assert seq.ops == ops
+    # A pulse slides back past commuting neighbours to merge ...
+    ops = [Rotation(1, "x", 0.5), Rotation(2, "y", 0.3), Coupling(2, 3, 0.2), Rotation(1, "x", 0.25)]
+    merged = reduction.peephole(PulseSequence(3, ops)).ops
+    assert merged == [Rotation(1, "x", 0.75), Rotation(2, "y", 0.3), Coupling(2, 3, 0.2)]
+    # ... and stops at the first one it does not commute with.
+    for blocker in (Rotation(1, "y", 0.3), Rotation(1, "z", 0.3), Coupling(1, 2, 0.2)):
+        ops = [Rotation(1, "x", 0.5), blocker, Rotation(2, "y", 0.3), Rotation(1, "x", 0.25)]
+        assert reduction.peephole(PulseSequence(2, ops)).ops == ops
+    # Couplings slide past each other and past z rotations, not past x/y
+    # rotations on their spins.
+    ops = [Coupling(1, 2, 0.5), Rotation(2, "z", 0.3), Coupling(2, 3, 0.1), Coupling(1, 2, 0.25)]
+    assert reduction.peephole(PulseSequence(3, ops)).ops == [
+        Coupling(1, 2, 0.75), Rotation(2, "z", 0.3), Coupling(2, 3, 0.1)
+    ]
+    ops = [Coupling(1, 2, 0.5), Rotation(2, "x", 0.3), Coupling(1, 2, 0.25)]
+    assert reduction.peephole(PulseSequence(2, ops)).ops == ops
+
+
+def test_peephole_cancellation_exposes_earlier_pulses():
+    # A pulse that cancels leaves its slot, so the pulses around it merge.
+    x, y, z = (Rotation(1, axis, 0.5) for axis in "xyz")
+    j = Coupling(1, 2, 0.5)
+    for outer, inner in [(x, j), (j, x), (z, x), (x, y)]:
+        ops = [outer, inner, replace(inner, angle=-0.5), replace(outer, angle=0.25)]
+        assert reduction.peephole(PulseSequence(2, ops)).ops == [replace(outer, angle=0.75)]
 
 
 def test_peephole_merges_couplings_mod_4pi():
