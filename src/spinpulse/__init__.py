@@ -2,13 +2,13 @@
 single-spin x/y rotations and Ising couplings, verified by direct matrix
 simulation up to global phase."""
 
-from .decompose import DecompositionPlan, FactorizedGenerator, SingleOp
+from .decompose import DecompositionPlan, SingleOp
 from .generator import BranchConvention, GeneratorExpansion, expand, extract_generator
 from .linalg import eig_unitary, matrix_exp_hermitian
-from .pauli import PauliString, commutator, commutes, enumerate_basis, materialize
-from .pipeline import CompileOptions, CompileReport, compile_factorized, compile_unitary
+from .pauli import PauliString, commutator, commutes, materialize
+from .pipeline import CompileOptions, CompileReport, compile_unitary
 from .pulse import Coupling, PulseOp, PulseSequence, Rotation
-from .sim import equal_up_to_phase, simulate, simulate_plan
+from .sim import equal_up_to_phase, simulate
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,6 @@ __all__ = [
     "CompileReport",
     "Coupling",
     "DecompositionPlan",
-    "FactorizedGenerator",
     "GeneratorExpansion",
     "PauliString",
     "PulseOp",
@@ -27,15 +26,12 @@ __all__ = [
     "SingleOp",
     "commutator",
     "commutes",
-    "compile_factorized",
     "compile_unitary",
     "eig_unitary",
-    "enumerate_basis",
     "equal_up_to_phase",
     "expand",
     "extract_generator",
     "materialize",
     "matrix_exp_hermitian",
     "simulate",
-    "simulate_plan",
 ]

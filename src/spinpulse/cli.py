@@ -153,7 +153,8 @@ def cmd_expand(args) -> int:
     options = _options(args)
     g = generator.extract_generator(_load_target(args), options.branch, options.tol)
     expansion = generator.expand(g, options.tol)
-    exact = "false" if decompose.route(expansion) == decompose.STRATEGY_TROTTER else "true"
+    route = decompose.route(expansion, options.tol)
+    exact = "false" if route == decompose.STRATEGY_TROTTER else "true"
     sys.stdout.write(generator.format_expansion(expansion) + f"# exact {exact}\n")
     return 0
 

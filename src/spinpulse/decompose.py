@@ -3,8 +3,10 @@
 A single operator is exp(-i*angle*B) for one basis word B.  Three exact
 routes are available: a term-by-term product when all words commute, an
 Euler sandwich when exactly two anticommuting words remain, and the
-conjugation scheme for generators given as a product of per-spin linear
-forms.  Anything else falls back to a first-order product formula.
+paper's axes transformation applied to the whole generator when its
+eigenbasis is a product of single-spin bases: per-spin frames turn every
+x/y letter into z, and the diagonal core goes the commuting way.  Anything
+else falls back to a first-order product formula.
 
 Plans store ops in time order: the first list element is applied first, so
 the matrix product reads right to left.
@@ -59,38 +61,6 @@ class DecompositionPlan:
     dropped_identity: float = 0.0
 
 
-@dataclass(frozen=True)
-class FactorizedGenerator:
-    """Generator given as a product over spins of
-    (phi0 * E + phi_x I_x + phi_y I_y + phi_z I_z), one 4-vector
-    (phi0, phi_x, phi_y, phi_z) per spin."""
-
-    per_spin: tuple[tuple[float, float, float, float], ...]
-
-    def __post_init__(self):
-        if not self.per_spin:
-            raise ValueError("need at least one spin")
-        for entry in self.per_spin:
-            if len(entry) != 4:
-                raise ValueError(f"expected 4-vectors, got {entry!r}")
-
-    @property
-    def num_spins(self) -> int:
-        return len(self.per_spin)
-
-    def matrix(self) -> np.ndarray:
-        """Dense Hermitian matrix: the factors act on different spins, so it
-        is the kron of the 2x2 factors phi0*E + (phi . sigma)/2, spin 1 first."""
-        linalg.require_spin_count(self.num_spins)
-        g = np.ones((1, 1), dtype=complex)
-        for phi0, *spin_part in self.per_spin:
-            factor = phi0 * np.eye(2, dtype=complex)
-            for axis, value in zip("xyz", spin_part):
-                factor += value * pauli.SIGMA[axis] / 2
-            g = np.kron(g, factor)
-        return g
-
-
 def euler_decompose(a: SingleOp, b: SingleOp) -> list[SingleOp]:
     """Rewrite exp(-i*(a + b)) for anticommuting words as a three-op sandwich.
 
@@ -113,10 +83,11 @@ def euler_decompose(a: SingleOp, b: SingleOp) -> list[SingleOp]:
     ]
 
 
-def _axis_ops(num_spins: int, spin: int, spin_part: tuple[float, float, float]):
-    """Time-ordered rotations mapping the z axis of `spin` onto the direction
-    of `spin_part`, plus their inverses (also time-ordered)."""
-    x, y, z = spin_part
+def _axis_ops(num_spins: int, spin: int, axis: np.ndarray):
+    """Time-ordered rotations mapping the z axis of `spin` onto the unit
+    vector `axis`, their inverses (also time-ordered), and the SO(3) matrix
+    o they act by: conjugation by the rotations takes v . I to (o v) . I."""
+    x, y, z = axis.tolist()
     polar = math.atan2(math.hypot(x, y), z)
     azimuth = math.atan2(y, x) if (x, y) != (0.0, 0.0) else 0.0
     forward = []
@@ -125,39 +96,67 @@ def _axis_ops(num_spins: int, spin: int, spin_part: tuple[float, float, float]):
     if azimuth != 0.0:
         forward.append(SingleOp(PauliString.single(num_spins, spin, "z"), azimuth))
     inverse = [SingleOp(op.s, -op.angle) for op in reversed(forward)]
-    return forward, inverse
+    cp, sp, ca, sa = math.cos(polar), math.sin(polar), math.cos(azimuth), math.sin(azimuth)
+    o = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]]) @ [[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]]
+    return forward, inverse, o
 
 
-def decompose_factorized(
-    fg: FactorizedGenerator, tol: float = linalg.DEFAULT_TOL
-) -> DecompositionPlan:
-    """Exact plan for a factorized generator.
+def _local_frame(expansion: GeneratorExpansion, tol: float):
+    """Per-spin frames R = (x)R_k with g = R D R-dagger for a diagonal D, or
+    None.
 
-    Per spin, rotate the linear form onto the z axis; the conjugated core is
-    the diagonal product of (phi0 E + |spin part| I_z) factors, whose
-    z-words generator.expand reads off and which all commute.  Output is the
-    time-ordered sandwich inverse-rotations, core, rotations.
+    The coefficients lie in a (4,)*n tensor, one axis per spin indexed
+    0, x, y, z.  When g has a product eigenbasis, each spin's x/y/z slab is
+    rank one, n_k times a row, and n_k is the axis R_k turns z onto: the
+    top eigenvector of the slab's 3x3 Gram matrix, signed so that the
+    first nonzero of its z, x, y components is positive.  Rotating every
+    slab by o_k-transpose gives the coefficients of D = R-dagger g R; the
+    frame is accepted when the words still carrying an x or y letter sum
+    below tol in magnitude, the drop budget of generator.expand.
+
+    A spin whose two smaller Gram eigenvalues exceed tol**2 rejects early:
+    they add up to the sum of squares its x/y rows keep after the rotation,
+    and the magnitudes of those words sum to at least its square root.  The
+    margin covers the Gram matrix's rounding, which is relative to its trace.
+
+    Returns (inverse ops, diagonal of D without its identity part, forward
+    ops), ops time-ordered.
     """
-    n = fg.num_spins
-    diagonal = np.ones(1)
+    n = expansion.num_spins
+    t = np.zeros(4**n)
+    t[[word.index for word in expansion.coeffs]] = list(expansion.coeffs.values())
+    t = t.reshape((4,) * n)
     pre: list[SingleOp] = []
     post: list[SingleOp] = []
-    for spin, (phi0, *spin_part) in enumerate(fg.per_spin, start=1):
-        spin_part = tuple(float(v) for v in spin_part)
-        norm = math.sqrt(sum(v * v for v in spin_part))
-        diagonal = np.kron(diagonal, [phi0 + norm / 2, phi0 - norm / 2])
-        if norm > 0.0:
-            forward, inverse = _axis_ops(n, spin, spin_part)
-            pre.extend(inverse)
-            post = forward + post
-    core = plan(expand(diagonal, tol))
-    return DecompositionPlan(
-        num_spins=n,
-        ops=tuple(pre) + core.ops + tuple(post),
-        exact=True,
-        strategy=STRATEGY_FACTORIZED,
-        dropped_identity=core.dropped_identity,
-    )
+    for spin in range(n):
+        slab = np.moveaxis(t, spin, 0)[1:]
+        rows = slab.reshape(3, -1)
+        gram = rows @ rows.T
+        weights, vectors = np.linalg.eigh(gram)
+        trace = float(np.trace(gram))
+        if weights[0] + weights[1] > tol**2 + 4 ** (n + 1) * np.finfo(float).eps * trace:
+            return None
+        if trace == 0.0:
+            continue
+        axis = vectors[:, 2]
+        if tuple(axis[[2, 0, 1]]) < (0, 0, 0):
+            axis = -axis
+        forward, inverse, o = _axis_ops(n, spin + 1, axis)
+        slab[:] = np.tensordot(o.T, slab, axes=1)
+        pre.extend(inverse)
+        post = forward + post
+    core = np.ix_(*[[0, 3]] * n)  # the words with only 0 and z letters
+    residue = np.abs(t)
+    residue[core] = 0.0
+    if residue.sum() >= tol:
+        return None
+    # D's diagonal: the sigma coefficients, half the basis-operator values,
+    # under one [a + b, a - b] butterfly per spin.
+    d = t[core] / 2
+    for spin in range(n):
+        d = d.reshape(2**spin, 2, -1)
+        d = np.stack([d[:, 0] + d[:, 1], d[:, 0] - d[:, 1]], axis=1)
+    return pre, d.reshape(-1), post
 
 
 def trotterize(expansion: GeneratorExpansion, steps: int) -> DecompositionPlan:
@@ -175,32 +174,49 @@ def trotterize(expansion: GeneratorExpansion, steps: int) -> DecompositionPlan:
     )
 
 
-def route(expansion: GeneratorExpansion) -> str:
-    """The route `plan` takes: commuting when all terms commute, euler for
-    exactly two anticommuting terms, trotter (the one inexact route)
-    otherwise."""
+def _route(expansion: GeneratorExpansion, tol: float):
+    """(strategy, frame): the route `plan` takes, and _local_frame's result
+    on the factorized route."""
     if expansion.all_commuting():
-        return STRATEGY_COMMUTING
-    return STRATEGY_EULER if len(expansion.coeffs) == 2 else STRATEGY_TROTTER
+        return STRATEGY_COMMUTING, None
+    if len(expansion.coeffs) == 2:
+        return STRATEGY_EULER, None
+    frame = _local_frame(expansion, tol)
+    return (STRATEGY_TROTTER if frame is None else STRATEGY_FACTORIZED), frame
+
+
+def route(expansion: GeneratorExpansion, tol: float = linalg.DEFAULT_TOL) -> str:
+    """The route `plan` takes: commuting when all terms commute, euler for
+    exactly two anticommuting terms, factorized when per-spin frames turn
+    the generator diagonal within tol, trotter (the one inexact route)
+    otherwise."""
+    return _route(expansion, tol)[0]
 
 
 def plan(
-    expansion: GeneratorExpansion, trotter_steps: int = DEFAULT_TROTTER_STEPS
+    expansion: GeneratorExpansion,
+    trotter_steps: int = DEFAULT_TROTTER_STEPS,
+    tol: float = linalg.DEFAULT_TOL,
 ) -> DecompositionPlan:
-    """Decompose along `route(expansion)`: one op per term, the Euler
-    sandwich, or the first-order formula.
+    """Decompose along `route(expansion, tol)`: one op per term, the Euler
+    sandwich, the frame sandwich or the first-order formula.
 
     Commuting terms may go in any order; they go in the Gray-code order of
     their z masks (PauliString.gray_rank), ties in basis order.  Neighbouring
     z masks then differ in one spin, so the flip sandwiches reduction puts
     around consecutive words share their outer levels and cancel in the
     peephole, as the CNOT ladders of Gray-ordered diagonal terms do in Welch
-    et al., NJP 16:033040 (2014).
+    et al., NJP 16:033040 (2014).  The factorized route plans the diagonal
+    core that way: the inverse frame ops, then the core's z-words, then the
+    frame ops.
     """
-    strategy = route(expansion)
+    strategy, frame = _route(expansion, tol)
     if strategy == STRATEGY_TROTTER:
         return trotterize(expansion, trotter_steps)
-    if strategy == STRATEGY_COMMUTING:
+    if strategy == STRATEGY_FACTORIZED:
+        pre, diagonal, post = frame
+        ops = pre + list(plan(expand(diagonal, tol)).ops) + post
+    elif strategy == STRATEGY_COMMUTING:
         terms = sorted(expansion.coeffs.items(), key=lambda term: (term[0].gray_rank, term[0]))
         ops = [SingleOp(word, value) for word, value in terms]
     else:

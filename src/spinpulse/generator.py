@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, pauli
+from . import linalg
 from .pauli import PauliString
 
 
@@ -312,15 +312,6 @@ def expand(g: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> GeneratorExpansion
         words = [PauliString.from_index(index, n) for index in kept]
     coeffs = dict(zip(words, values[kept].tolist()))
     return GeneratorExpansion(num_spins=n, coeffs=coeffs, identity_coeff=identity_coeff)
-
-
-def reconstruct(expansion: GeneratorExpansion) -> np.ndarray:
-    """Inverse of expand: materialize and sum every term, identity included."""
-    dim = 2**expansion.num_spins
-    g = expansion.identity_coeff * np.eye(dim, dtype=complex)
-    for word, value in expansion.coeffs.items():
-        g = g + value * pauli.materialize(word)
-    return g
 
 
 def format_expansion(expansion: GeneratorExpansion) -> str:

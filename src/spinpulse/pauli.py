@@ -176,9 +176,3 @@ def commutator(a: PauliString, b: PauliString) -> tuple[PauliString, complex] | 
     )
     return c, complex(_POWERS_OF_I[k % 4])
 
-
-def enumerate_basis(num_spins: int) -> list[PauliString]:
-    """All 4**n axis words in deterministic basis order."""
-    if num_spins < 1:
-        raise ValueError("need at least one spin")
-    return [PauliString.from_index(i, num_spins) for i in range(4**num_spins)]

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decompose, generator, linalg, reduction, sim
-from .decompose import FactorizedGenerator
 from .generator import BranchConvention
 from .pulse import PulseSequence
 
@@ -39,6 +38,11 @@ class CompileOptions:
       coefficient residue above tol rejects g as not Hermitian.  The
       identity coefficient is never dropped: it costs no pulse and goes to
       the phase ledger.
+    - Frame (decompose.route): per-spin frames R are accepted when the
+      words of R-dagger g R that still carry an x or y letter sum below
+      tol, the same budget, and those words are dropped; conjugation by R
+      is unitary, so they too move exp(-i*g) by less than tol/2, and the
+      diagonal core is expanded under the rule above.
     - Equal (sim.equal_up_to_phase): a sequence verifies when its simulated
       matrix, times the phase of tr(simulated† u), matches u entry by entry
       within 10*tol; `spinpulse verify` compares at the same bound.
@@ -81,28 +85,7 @@ class CompileReport:
     exact: bool
     strategy: str
     verification_residual: float | None = None
-    verification_phase: float | None = None
     verified: bool | None = None
-
-
-def _finish(
-    plan: decompose.DecompositionPlan, target: np.ndarray | None, options: CompileOptions
-) -> CompileReport:
-    seq = reduction.reduce_plan(
-        plan, allow_z=options.allow_z, use_pseudo_cnot=options.use_pseudo_cnot
-    )
-    report = CompileReport(sequence=seq, exact=plan.exact, strategy=plan.strategy)
-    should_verify = (
-        options.verify
-        and target is not None
-        and seq.num_spins <= options.max_verify_spins
-    )
-    if should_verify:
-        comparison = sim.equal_up_to_phase(target, sim.simulate(seq), 10 * options.tol)
-        report.verification_residual = comparison.residual
-        report.verification_phase = comparison.phase
-        report.verified = comparison.equal
-    return report
 
 
 def compile_unitary(u: np.ndarray, options: CompileOptions | None = None) -> CompileReport:
@@ -115,17 +98,13 @@ def compile_unitary(u: np.ndarray, options: CompileOptions | None = None) -> Com
     u = np.asarray(u, dtype=complex)
     g = generator.extract_generator(u, options.branch, options.tol)
     expansion = generator.expand(g, options.tol)
-    plan = decompose.plan(expansion, trotter_steps=options.trotter_steps)
-    return _finish(plan, u, options)
-
-
-def compile_factorized(
-    fg: FactorizedGenerator, options: CompileOptions | None = None
-) -> CompileReport:
-    """Compile a factorized generator via the conjugation route."""
-    options = options or CompileOptions()
-    plan = decompose.decompose_factorized(fg, options.tol)
-    target = None
-    if options.verify and fg.num_spins <= options.max_verify_spins:
-        target = linalg.matrix_exp_hermitian(fg.matrix())
-    return _finish(plan, target, options)
+    plan = decompose.plan(expansion, trotter_steps=options.trotter_steps, tol=options.tol)
+    seq = reduction.reduce_plan(
+        plan, allow_z=options.allow_z, use_pseudo_cnot=options.use_pseudo_cnot
+    )
+    report = CompileReport(sequence=seq, exact=plan.exact, strategy=plan.strategy)
+    if options.verify and seq.num_spins <= options.max_verify_spins:
+        comparison = sim.equal_up_to_phase(u, sim.simulate(seq), 10 * options.tol)
+        report.verification_residual = comparison.residual
+        report.verified = comparison.equal
+    return report

@@ -13,21 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, pauli
-from .decompose import DecompositionPlan
+from . import linalg
 from .pulse import Coupling, PulseSequence, Rotation
 
 
-def _exp_sigma(angle: float, sigma: np.ndarray) -> np.ndarray:
-    """exp(-i*angle*sigma/2) for a sigma-string, which squares to E:
-    cos(angle/2)*E - i*sin(angle/2)*sigma."""
-    half = angle / 2
-    return math.cos(half) * np.eye(len(sigma)) - 1j * math.sin(half) * sigma
-
-
 def _rotation(axis: str, angle: float) -> np.ndarray:
-    """_exp_sigma(angle, SIGMA[axis]) entry by entry, each zero part signed
-    as that matrix expression signs it, so the two agree bit for bit."""
+    """exp(-i*angle*sigma_axis/2) = cos(angle/2)*E - i*sin(angle/2)*sigma_axis,
+    written entry by entry, each zero part signed as that matrix expression
+    signs it, so the two agree bit for bit."""
     half = angle / 2
     c, s = math.cos(half), math.sin(half)
     z = c * 0.0
@@ -66,19 +59,6 @@ def simulate(seq: PulseSequence) -> np.ndarray:
             m *= np.exp(1j * op.angle / 2 * sign(op.i, op.j))[:, None]
         else:
             raise TypeError(f"unknown pulse op {op!r}")
-    return m
-
-
-def simulate_plan(plan: DecompositionPlan) -> np.ndarray:
-    """Product of exp(-i*angle*B) over the plan's single operators, last op
-    leftmost.  The dropped identity weight is not applied.
-
-    2B is a sigma-string, so each factor has the closed form of _exp_sigma.
-    """
-    linalg.require_spin_count(plan.num_spins)
-    m = np.eye(2**plan.num_spins, dtype=complex)
-    for op in plan.ops:
-        m = _exp_sigma(op.angle, 2 * pauli.materialize(op.s)) @ m
     return m
 
 

@@ -5,17 +5,22 @@ it stood before its one-pass rewrite (with the recursive
 fixpoint (built on `dataclasses.replace`), and `simulate` as it stood
 before its rewrite (one `np.eye` per rotation).  Only the rounding floor
 ANGLE_EPS is shared with the package.  tests/test_kernels.py requires the
-package's passes to reproduce these bit for bit."""
+package's passes to reproduce these bit for bit.
+
+Below them are the dense references the other tests build targets from:
+the basis in order, an expansion summed back into a matrix, a plan
+multiplied out word by word, and generators given in product form."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from spinpulse import pauli
 from spinpulse.decompose import DecompositionPlan, SingleOp
+from spinpulse.generator import GeneratorExpansion
 from spinpulse.pauli import PauliString
 from spinpulse.pulse import Coupling, PulseOp, PulseSequence, Rotation
 from spinpulse.reduction import ANGLE_EPS
@@ -254,3 +259,54 @@ def simulate(seq: PulseSequence) -> np.ndarray:
         else:
             raise TypeError(f"unknown pulse op {op!r}")
     return m
+
+
+def enumerate_basis(num_spins: int) -> list[PauliString]:
+    """All 4**n axis words in deterministic basis order."""
+    return [PauliString.from_index(i, num_spins) for i in range(4**num_spins)]
+
+
+def reconstruct(expansion: GeneratorExpansion) -> np.ndarray:
+    """Inverse of expand: materialize and sum every term, identity included."""
+    dim = 2**expansion.num_spins
+    g = expansion.identity_coeff * np.eye(dim, dtype=complex)
+    for word, value in expansion.coeffs.items():
+        g = g + value * pauli.materialize(word)
+    return g
+
+
+def simulate_plan(plan: DecompositionPlan) -> np.ndarray:
+    """Product of exp(-i*angle*B) over the plan's single operators, last op
+    leftmost.  The dropped identity weight is not applied.
+
+    2B is a sigma-string, so each factor has the closed form of _exp_sigma.
+    """
+    m = np.eye(2**plan.num_spins, dtype=complex)
+    for op in plan.ops:
+        m = _exp_sigma(op.angle, 2 * pauli.materialize(op.s)) @ m
+    return m
+
+
+@dataclass(frozen=True)
+class FactorizedGenerator:
+    """Generator given as a product over spins of
+    (phi0 * E + phi_x I_x + phi_y I_y + phi_z I_z), one 4-vector
+    (phi0, phi_x, phi_y, phi_z) per spin.  Its exponential has a product
+    eigenbasis, which the factorized route of decompose.plan compiles."""
+
+    per_spin: tuple[tuple[float, float, float, float], ...]
+
+    @property
+    def num_spins(self) -> int:
+        return len(self.per_spin)
+
+    def matrix(self) -> np.ndarray:
+        """Dense Hermitian matrix: the factors act on different spins, so it
+        is the kron of the 2x2 factors phi0*E + (phi . sigma)/2, spin 1 first."""
+        g = np.ones((1, 1), dtype=complex)
+        for phi0, *spin_part in self.per_spin:
+            factor = phi0 * np.eye(2, dtype=complex)
+            for axis, value in zip("xyz", spin_part):
+                factor += value * pauli.SIGMA[axis] / 2
+            g = np.kron(g, factor)
+        return g

@@ -15,6 +15,8 @@ from spinpulse.cli import build_parser, main, parse_angle
 from spinpulse.pauli import PauliString
 from spinpulse.pipeline import compile_unitary
 
+from conftest import haar_unitary
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -84,12 +86,10 @@ def test_compile_identity_matrix(capsys, tmp_path):
 
 
 def test_compile_trotter_exit_code(capsys, tmp_path):
-    g = 0.3 * pauli.materialize(PauliString.from_string("x")) + 0.4 * pauli.materialize(
-        PauliString.from_string("y")
-    ) + 0.5 * pauli.materialize(PauliString.from_string("z"))
-    u = linalg.matrix_exp_hermitian(g)
+    # A Haar 2-spin unitary has no product eigenbasis, so only the product
+    # formula applies.
     path = tmp_path / "generic.txt"
-    path.write_text(formats.format_matrix(u))
+    path.write_text(formats.format_matrix(haar_unitary(7, 4)))
     code, stdout, stderr = run(capsys, "compile", "--matrix", str(path))
     assert code == 2
     assert "exact False" in stderr

@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpulse import decompose, generator, linalg, pauli, sim
-from spinpulse.decompose import FactorizedGenerator, SingleOp
+from spinpulse.decompose import SingleOp
 from spinpulse.generator import BranchConvention, GeneratorExpansion
 from spinpulse.pauli import PauliString
+
+import backend_oracle
+from backend_oracle import FactorizedGenerator
+from conftest import haar_unitary
 
 
 def word(text):
@@ -16,7 +20,7 @@ def word(text):
 def exp_of(expansion):
     """Oracle: exponential of the reconstructed generator without its
     identity part."""
-    g = generator.reconstruct(expansion)
+    g = backend_oracle.reconstruct(expansion)
     g = g - expansion.identity_coeff * np.eye(g.shape[0])
     return linalg.matrix_exp_hermitian(g)
 
@@ -50,7 +54,7 @@ def test_commuting_product_matches_oracle():
     expansion = GeneratorExpansion(2, {word("x0"): 0.35, word("0y"): -0.8})
     plan = decompose.plan(expansion)
     assert plan.strategy == "commuting"
-    assert linalg.max_abs_diff(sim.simulate_plan(plan), exp_of(expansion)) < 1e-10
+    assert linalg.max_abs_diff(backend_oracle.simulate_plan(plan), exp_of(expansion)) < 1e-10
 
 
 def test_commuting_rejects_noncommuting():
@@ -88,11 +92,11 @@ def test_euler_matches_oracle():
     target = linalg.matrix_exp_hermitian(
         0.3 * pauli.materialize(word("x")) - 0.7 * pauli.materialize(word("y"))
     )
-    assert linalg.max_abs_diff(sim.simulate_plan(plan), target) < 1e-12
+    assert linalg.max_abs_diff(backend_oracle.simulate_plan(plan), target) < 1e-12
 
 
 def test_euler_random_anticommuting_pairs(rng):
-    basis = [s for s in pauli.enumerate_basis(2) if s.weight > 0]
+    basis = [s for s in backend_oracle.enumerate_basis(2) if s.weight > 0]
     checked = 0
     while checked < 20:
         a, b = rng.choice(len(basis), size=2, replace=False)
@@ -106,7 +110,7 @@ def test_euler_random_anticommuting_pairs(rng):
         target = linalg.matrix_exp_hermitian(
             angles[0] * pauli.materialize(sa) + angles[1] * pauli.materialize(sb)
         )
-        assert linalg.max_abs_diff(sim.simulate_plan(plan), target) < 1e-10
+        assert linalg.max_abs_diff(backend_oracle.simulate_plan(plan), target) < 1e-10
         checked += 1
 
 
@@ -115,27 +119,30 @@ def test_euler_rejects_commuting_pair():
         decompose.euler_decompose(SingleOp(word("zz"), 0.1), SingleOp(word("z0"), 0.2))
 
 
+def plan_of(fg):
+    return decompose.plan(generator.expand(fg.matrix()))
+
+
 def test_factorized_pure_z():
-    fg = FactorizedGenerator(((0.3, 0.0, 0.0, 0.8),))
-    plan = decompose.decompose_factorized(fg)
-    assert plan.strategy == "factorized" and plan.exact
-    assert plan.ops == (SingleOp(word("z"), 0.8),)
+    # Axis-aligned spin parts take the commuting route, ahead of the frames.
+    plan = plan_of(FactorizedGenerator(((0.3, 0.0, 0.0, 0.8),)))
+    assert plan.strategy == "commuting" and plan.exact
+    [op] = plan.ops
+    assert op.s == word("z") and op.angle == pytest.approx(0.8)
     assert plan.dropped_identity == pytest.approx(0.3)
 
 
 def test_factorized_pure_x():
-    fg = FactorizedGenerator(((0.0, 0.45, 0.0, 0.0),))
-    plan = decompose.decompose_factorized(fg)
+    plan = plan_of(FactorizedGenerator(((0.0, 0.45, 0.0, 0.0),)))
     target = linalg.matrix_exp_hermitian(0.45 * pauli.materialize(word("x")))
-    assert linalg.max_abs_diff(sim.simulate_plan(plan), target) < 1e-12
+    assert linalg.max_abs_diff(backend_oracle.simulate_plan(plan), target) < 1e-12
 
 
 def test_factorized_controlled_phase():
     half = np.pi  # pi * (E/2 - I_z) on spin 1, (E/2 - I_z) on spin 2
-    fg = FactorizedGenerator(((half / 2, 0, 0, -half), (0.5, 0, 0, -1)))
-    plan = decompose.decompose_factorized(fg)
+    plan = plan_of(FactorizedGenerator(((half / 2, 0, 0, -half), (0.5, 0, 0, -1))))
     target = np.diag([1, 1, 1, -1]).astype(complex)
-    m = sim.simulate_plan(plan)
+    m = backend_oracle.simulate_plan(plan)
     comparison = sim.equal_up_to_phase(target, m, 1e-10)
     assert comparison.equal
     # with the dropped identity restored the match is phase-exact
@@ -146,15 +153,15 @@ def test_factorized_matrix_matches_plan(rng):
     fg = FactorizedGenerator(
         tuple(tuple(rng.uniform(-1, 1, size=4)) for _ in range(2))
     )
-    plan = decompose.decompose_factorized(fg)
+    plan = plan_of(fg)
+    assert plan.strategy == "factorized" and plan.exact
     target = linalg.matrix_exp_hermitian(fg.matrix())
-    m = np.exp(-1j * plan.dropped_identity) * sim.simulate_plan(plan)
+    m = np.exp(-1j * plan.dropped_identity) * backend_oracle.simulate_plan(plan)
     assert linalg.max_abs_diff(m, target) < 1e-10
 
 
 def test_factorized_all_zero_spin_parts():
-    fg = FactorizedGenerator(((0.4, 0, 0, 0), (0.5, 0, 0, 0)))
-    plan = decompose.decompose_factorized(fg)
+    plan = plan_of(FactorizedGenerator(((0.4, 0, 0, 0), (0.5, 0, 0, 0))))
     assert plan.ops == ()
     assert plan.dropped_identity == pytest.approx(0.2)
 
@@ -172,7 +179,7 @@ def test_trotter_error_scaling():
     errors = {}
     for steps in (1, 2, 4, 8, 16):
         plan = decompose.trotterize(expansion, steps)
-        errors[steps] = linalg.max_abs_diff(sim.simulate_plan(plan), target)
+        errors[steps] = linalg.max_abs_diff(backend_oracle.simulate_plan(plan), target)
     for steps in (1, 2, 4, 8):
         assert 1.5 <= errors[steps] / errors[2 * steps] <= 2.5
     assert errors[16] < 0.05
@@ -193,7 +200,15 @@ def test_plan_dispatch():
     chosen = decompose.plan(euler)
     assert chosen.strategy == "euler" and chosen.exact
 
-    trotter = GeneratorExpansion(1, {word("x"): 0.3, word("y"): 0.1, word("z"): 0.2})
+    # Three anticommuting words on one spin are one tilted rotation: its
+    # frame turns the axis onto z.
+    frame = GeneratorExpansion(1, {word("x"): 0.3, word("y"): 0.1, word("z"): 0.2})
+    chosen = decompose.plan(frame)
+    assert chosen.strategy == "factorized" and chosen.exact
+    assert [str(op.s) for op in chosen.ops] == ["z", "y", "z", "y", "z"]
+
+    # A Haar 2-spin generator has no product eigenbasis.
+    trotter = generator.expand(generator.extract_generator(haar_unitary(7, 4)))
     chosen = decompose.plan(trotter, trotter_steps=8)
     assert chosen.strategy == "trotter" and not chosen.exact
     assert len(chosen.ops) == 8 * len(trotter.terms())

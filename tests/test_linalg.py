@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spinpulse import gates, linalg, pauli, sim
-from spinpulse.decompose import DecompositionPlan, FactorizedGenerator
 from spinpulse.pulse import PulseSequence
 
 from conftest import expm_series, random_hermitian, random_unitary
@@ -140,9 +139,7 @@ CEILING_CASES = {
     "cphase": lambda: gates.controlled_phase(1, 11),
     "fphase": lambda: gates.phase_flip([], 11),
     "simulate": lambda: sim.simulate(PulseSequence(11)),
-    "simulate_plan": lambda: sim.simulate_plan(DecompositionPlan(11, (), True, "commuting")),
     "materialize": lambda: pauli.materialize(pauli.PauliString(11, 0, 1)),
-    "factorized": lambda: FactorizedGenerator(((0.0, 0.0, 0.0, 1.0),) * 11).matrix(),
     "matrix": lambda: linalg.num_spins_for_dim(2**11),
 }
 

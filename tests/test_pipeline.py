@@ -3,14 +3,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinpulse import formats, gates, linalg, pauli, pipeline, reduction, sim
-from spinpulse.decompose import FactorizedGenerator
+from spinpulse import (
+    decompose,
+    formats,
+    gates,
+    generator,
+    linalg,
+    pauli,
+    pipeline,
+    reduction,
+    sim,
+)
 from spinpulse.generator import BranchConvention
 from spinpulse.pauli import PauliString
 from spinpulse.pulse import Rotation
+
+import backend_oracle
+from backend_oracle import FactorizedGenerator
+from conftest import haar_unitary
 
 
 def compile_ok(u, **kwargs):
@@ -83,16 +96,10 @@ def test_allow_z_option_passthrough():
 
 
 def test_trotter_path_reports_approximate():
-    # a generic one-spin rotation expands into three mutually anticommuting
-    # terms, which the dispatcher hands to the product formula
-    g = (
-        0.3 * pauli.materialize(PauliString.from_string("x"))
-        + 0.4 * pauli.materialize(PauliString.from_string("y"))
-        + 0.5 * pauli.materialize(PauliString.from_string("z"))
-    )
-    u = linalg.matrix_exp_hermitian(g)
+    # a Haar 2-spin unitary has no product eigenbasis, so no exact route
+    # applies and the dispatcher hands it to the product formula
     report = pipeline.compile_unitary(
-        u, pipeline.CompileOptions(trotter_steps=256)
+        haar_unitary(7, 4), pipeline.CompileOptions(trotter_steps=256)
     )
     assert not report.exact and report.strategy == "trotter"
     assert report.verification_residual is not None
@@ -135,31 +142,35 @@ def test_rejects_infinite_tol():
         pipeline.CompileOptions(tol=math.inf)
 
 
+def compile_exp(fg):
+    """compile_unitary of exp(-i*g) for a factorized generator g."""
+    return pipeline.compile_unitary(linalg.matrix_exp_hermitian(fg.matrix()))
+
+
 def test_factorized_controlled_phase():
-    fg = FactorizedGenerator(((np.pi / 2, 0, 0, -np.pi), (0.5, 0, 0, -1)))
-    report = pipeline.compile_factorized(fg)
-    assert report.exact and report.strategy == "factorized"
+    report = compile_exp(FactorizedGenerator(((np.pi / 2, 0, 0, -np.pi), (0.5, 0, 0, -1))))
+    assert report.exact and report.strategy == "commuting"
     assert report.verified and report.verification_residual < 1e-9
     target = np.diag([1, 1, 1, -1]).astype(complex)
     assert sim.equal_up_to_phase(target, sim.simulate(report.sequence), 1e-9).equal
 
 
 def test_factorized_single_spin_x():
-    fg = FactorizedGenerator(((0.0, 0.8, 0.0, 0.0),))
-    report = pipeline.compile_factorized(fg)
+    report = compile_exp(FactorizedGenerator(((0.0, 0.8, 0.0, 0.0),)))
     assert report.sequence.ops == [Rotation(1, "x", pytest.approx(0.8))]
     assert report.verified
 
 
 def test_factorized_toffoli_style():
-    fg = FactorizedGenerator(
-        (
-            (np.pi / 2, 0, 0, -np.pi),
-            (0.5, 0, 0, -1),
-            (0.5, -1, 0, 0),
+    report = compile_exp(
+        FactorizedGenerator(
+            (
+                (np.pi / 2, 0, 0, -np.pi),
+                (0.5, 0, 0, -1),
+                (0.5, -1, 0, 0),
+            )
         )
     )
-    report = pipeline.compile_factorized(fg)
     assert report.verified
     comparison = sim.equal_up_to_phase(
         gates.toffoli(), sim.simulate(report.sequence), 1e-9
@@ -190,7 +201,7 @@ def _two_anticommuting_words(rng):
     """exp(-i*g) for g = c0*Id + c1*A + c2*B with A, B anticommuting; its
     eigenphases c0 +- sqrt(c1**2 + c2**2) stay inside (-pi, pi)."""
     n = int(rng.integers(1, 4))
-    words = pauli.enumerate_basis(n)[1:]
+    words = backend_oracle.enumerate_basis(n)[1:]
     a = words[int(rng.integers(len(words)))]
     partners = [w for w in words if not pauli.commutes(a, w)]
     b = partners[int(rng.integers(len(partners)))]
@@ -231,19 +242,124 @@ def test_global_phase_ledger_is_exact(build, seed, flags, branch):
     assert linalg.max_abs_diff(ledger, u) <= 10 * options.tol
 
 
+def assert_ledger_exact(u, options):
+    """Exact, and e^{i*phase} * simulate(seq) == u within 10*tol with no
+    phase fitted."""
+    report = pipeline.compile_unitary(u, options)
+    assert report.exact and report.verified is not False
+    ledger = np.exp(1j * report.sequence.global_phase) * sim.simulate(report.sequence)
+    assert linalg.max_abs_diff(ledger, u) <= 10 * options.tol
+    return report
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 4), min_size=1, max_size=4),
     st.sampled_from(list(itertools.product([False, True], repeat=2))),
 )
+@example(per_spin=[(0.0, 0.0, 1.0, 1e-09), (1.0, 1.0, 1.0, 0.75)], flags=(False, False))
 def test_factorized_route_is_ledger_exact(per_spin, flags):
-    """The conjugation route, whose core goes through generator.expand,
-    rebuilds exp(-i*g) of the factorized generator with no phase freedom."""
+    """A factorized generator has a product eigenbasis, so plan takes an
+    exact route on its expansion, the frame route unless another exact
+    route comes first, and the reduced sequence rebuilds exp(-i*g) with no
+    phase freedom.
+
+    Except at the tol edge: when expand spends its drop budget on some
+    words of a spin whose axis tilts by about tol and keeps the others (the
+    example: zx and zz dropped, z0 and zy kept), what is kept has no
+    product eigenbasis within tol, and the plan takes the product formula
+    and says so.  Rounding noise alone spends far less than tol/10."""
     allow_z, use_pseudo_cnot = flags
-    options = pipeline.CompileOptions(allow_z=allow_z, use_pseudo_cnot=use_pseudo_cnot)
-    fg = FactorizedGenerator(tuple(per_spin))
-    report = pipeline.compile_factorized(fg, options)
-    assert report.exact and report.strategy == "factorized" and report.verified
-    target = linalg.matrix_exp_hermitian(fg.matrix())
-    ledger = np.exp(1j * report.sequence.global_phase) * sim.simulate(report.sequence)
-    assert linalg.max_abs_diff(ledger, target) <= 10 * options.tol
+    tol = linalg.DEFAULT_TOL
+    g = FactorizedGenerator(tuple(per_spin)).matrix()
+    expansion = generator.expand(g, tol)
+    plan = decompose.plan(expansion, tol=tol)
+    if not plan.exact:
+        every = generator.expand(g, reduction.ANGLE_EPS).coeffs
+        dropped = sum(abs(c) for w, c in every.items() if w not in expansion.coeffs)
+        assert dropped > tol / 10
+        return
+    seq = reduction.reduce_plan(plan, allow_z=allow_z, use_pseudo_cnot=use_pseudo_cnot)
+    ledger = np.exp(1j * seq.global_phase) * sim.simulate(seq)
+    assert linalg.max_abs_diff(ledger, linalg.matrix_exp_hermitian(g)) <= 10 * tol
+
+
+# Per-spin frames: Haar, or axis-aligned (identity, flip, Hadamard, a
+# quarter turn about x), or the identity on an idle spin.
+_ALIGNED = [
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    np.array([[1, -1j], [-1j, 1]]) / np.sqrt(2),
+]
+
+
+@st.composite
+def product_eigenbasis_unitaries(draw):
+    """R D R-dagger with R a product of one-spin unitaries and D diagonal:
+    its phases drawn from a few values (degenerate D) that include +-pi.
+    Returns u, its generator R diag(phases) R-dagger and the spins left
+    idle."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idle = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
+    r = np.ones((1, 1))
+    for spin in range(n):
+        kind = draw(st.sampled_from(["haar", "aligned"]))
+        if spin in idle:
+            factor = np.eye(2)
+        elif kind == "haar":
+            factor = haar_unitary(int(rng.integers(2**32)), 2)
+        else:
+            factor = _ALIGNED[int(rng.integers(len(_ALIGNED)))]
+        r = np.kron(r, factor)
+    levels = draw(st.integers(1, 4))
+    palette = np.concatenate([[np.pi, -np.pi], rng.uniform(-np.pi, np.pi, levels)])
+    phases = palette[rng.integers(len(palette), size=2 ** (n - len(idle)))]
+    # Idle spins: D is the identity on them.
+    axes = [1 if spin in idle else 2 for spin in range(n)]
+    d = np.broadcast_to(phases.reshape(axes), (2,) * n).reshape(-1)
+    return (r * np.exp(-1j * d)) @ r.conj().T, (r * d) @ r.conj().T, idle
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_eigenbasis_unitaries(), st.sampled_from(list(BranchConvention)))
+def test_product_eigenbasis_is_ledger_exact(case, branch):
+    """R D R-dagger compiles exact through the frame route, and no pulse
+    touches an idle spin.
+
+    Except where extraction blurs the eigenbasis: two eigenvalues near -1
+    on either side of the branch cut (phases -pi and pi - 0.01, say) are
+    separated by eig_unitary at the square of their distance, and their
+    eigenvectors mix into a generator that is off the product frame by
+    more than tol.  The frame route then still accepts the generator the
+    input was built from, and the compile says it is approximate."""
+    u, g, idle = case
+    options = pipeline.CompileOptions(branch=branch, max_verify_spins=5)
+    if not pipeline.compile_unitary(u, options).exact:
+        assert decompose.route(generator.expand(g)) == decompose.STRATEGY_FACTORIZED
+        return
+    report = assert_ledger_exact(u, options)
+    touched = {op.spin for op in report.sequence.ops if isinstance(op, Rotation)}
+    assert touched.isdisjoint(spin + 1 for spin in idle)
+
+
+def controlled(u, controls):
+    """u on the last spin, applied when each of the `controls` leading
+    spins is in state 1."""
+    dim = 2 ** (controls + 1)
+    c = np.eye(dim, dtype=complex)
+    c[-2:, -2:] = u
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.sampled_from(list(BranchConvention)),
+)
+def test_controlled_haar_is_ledger_exact(seed, controls, branch):
+    u = controlled(haar_unitary(seed, 2), controls)
+    report = assert_ledger_exact(u, pipeline.CompileOptions(branch=branch))
+    assert report.strategy == "factorized"

@@ -12,15 +12,29 @@ from spinpulse import gates, generator, linalg, pauli
 from spinpulse.pauli import PauliString
 from spinpulse.pipeline import CompileOptions, compile_unitary
 
+import backend_oracle
+
 TOLS = [1e-12, 1e-10, 1e-9, 1e-7, 1e-6]
 SCALES = [0.05, 0.3, 0.9, 3, 9, 30]
 PERTURBATIONS = ["unitary", "additive", "modulus"]
 
 
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
 def exact_bases(n):
+    """Three gates on exact routes, then one with a product eigenbasis off
+    the z axis, which only the frame route compiles exactly: the Hadamard,
+    or a Hadamard on spin 2 controlled by spin 1."""
     if n == 1:
-        return [np.eye(2), np.diag([1, -1]), np.diag([1, 1j])]
-    return [np.eye(2**n), gates.cnot(1, 2, n), gates.controlled_phase(1, 2, 1e-3, n)]
+        return [np.eye(2), np.diag([1, -1]), np.diag([1, 1j]), HADAMARD]
+    controlled_hadamard = np.kron(np.diag([1, 0]), np.eye(2)) + np.kron(np.diag([0, 1]), HADAMARD)
+    return [
+        np.eye(2**n),
+        gates.cnot(1, 2, n),
+        gates.controlled_phase(1, 2, 1e-3, n),
+        np.kron(controlled_hadamard, np.eye(2 ** (n - 2))),
+    ]
 
 
 def near_edge(n, base, tol, scale, kind, seed):
@@ -43,7 +57,7 @@ def near_edge(n, base, tol, scale, kind, seed):
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 3),
-    base=st.integers(0, 2),
+    base=st.integers(0, 3),
     tol=st.sampled_from(TOLS),
     scale=st.sampled_from(SCALES),
     kind=st.sampled_from(PERTURBATIONS),
@@ -66,6 +80,20 @@ def test_near_edge_input_verifies_unless_approximate(n, base, tol, scale, kind, 
         return
     assert report.verified is not None
     assert report.verified or not report.exact
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_route_splits_at_tol(n, tol):
+    # The controlled Hadamard turned by exp(-i*scale*tol*xx): xx has no
+    # product eigenbasis with it, so its frame residue grows with scale.
+    u = exact_bases(n)[3]
+    h = pauli.materialize(PauliString.from_string("xx" + "0" * (n - 2)))
+    options = CompileOptions(tol=tol, trotter_steps=1)
+    below = compile_unitary(linalg.matrix_exp_hermitian(0.1 * tol * h) @ u, options)
+    assert below.strategy == "factorized" and below.exact and below.verified
+    above = compile_unitary(linalg.matrix_exp_hermitian(10 * tol * h) @ u, options)
+    assert above.strategy == "trotter" and not above.exact
 
 
 def test_phase_with_modulus_noise_compiles():
@@ -96,7 +124,7 @@ def test_dropped_words_move_generator_by_less_than_half_tol(n, tol, small, large
         scale * rng.uniform(-1, 1) * pauli.materialize(PauliString.from_index(int(index), n))
         for index, scale in zip(indices, scales)
     )
-    dropped = g - generator.reconstruct(generator.expand(g, tol))
+    dropped = g - backend_oracle.reconstruct(generator.expand(g, tol))
     assert np.linalg.norm(dropped, 2) < tol / 2
 
 
