@@ -4,7 +4,7 @@ simulation up to global phase."""
 
 from .decompose import DecompositionPlan, SingleOp
 from .generator import BranchConvention, GeneratorExpansion, expand, extract_generator
-from .linalg import eig_unitary, matrix_exp_hermitian
+from .linalg import eig_unitary
 from .pauli import PauliString, commutator, commutes, materialize
 from .pipeline import CompileOptions, CompileReport, compile_unitary
 from .pulse import Coupling, PulseOp, PulseSequence, Rotation
@@ -32,6 +32,5 @@ __all__ = [
     "expand",
     "extract_generator",
     "materialize",
-    "matrix_exp_hermitian",
     "simulate",
 ]

@@ -120,11 +120,3 @@ def require_unitary_spectrum(eigenvalues: np.ndarray, off_weight: float, tol: fl
     if max(off_weight, moduli) > 10 * tol:
         raise ValueError(f"matrix is not unitary within tolerance {10 * tol:.1e}")
 
-
-def matrix_exp_hermitian(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(-i*h) for Hermitian h, via eigendecomposition."""
-    h = require_square(h)
-    if max_abs_diff(h, h.conj().T) >= tol:
-        raise ValueError(f"matrix is not Hermitian within tolerance {tol}")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T

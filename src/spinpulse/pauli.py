@@ -84,14 +84,6 @@ class PauliString:
         bx, bz = _BITS[axis]
         return cls(num_spins, bx * bit, bz * bit)
 
-    @classmethod
-    def z_on(cls, num_spins: int, spins) -> "PauliString":
-        """All-z word on the given 1-indexed spins."""
-        z = 0
-        for spin in spins:
-            z |= _spin_bit(num_spins, spin)
-        return cls(num_spins, 0, z)
-
     @property
     def index(self) -> int:
         """Base-4 basis index.  A binary numeral read in base 4 moves bit k

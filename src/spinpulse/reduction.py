@@ -1,16 +1,20 @@
 """Rewriting of a decomposition plan into allowed pulses.
 
 The allowed set is single-spin x/y rotations and the two-spin Ising
-coupling.  `reduce_plan` rewrites each single operator in one pass and
-does both of the paper's replacements there.  Axes transformation: every
-x or y axis of a word is conjugated to z by a quarter-turn frame, and a
-bare z rotation becomes a composite of x/y pulses.  Coupling order
-reduction: a z-word of weight three or more is reduced by nested flips;
-conjugating by a (pseudo) controlled flip on a spin pair raises the
-coupling order of the inner block by one, so an n-spin coupling is one
-coupling inside n-2 flip sandwiches.  `peephole` then merges pulses on the
-same target across the pulses they commute with, which cancels most of the
-sandwiches that neighbouring words share.
+coupling.  `reduce_plan` rewrites a plan in one pass and does both of the
+paper's replacements there.  Axes transformation: every x or y axis of a
+word is conjugated to z by a quarter-turn frame, and a bare z rotation
+becomes a composite of x/y pulses.  Coupling order reduction: conjugating
+by a (pseudo) controlled flip on a spin pair raises the coupling order of
+the inner block by one, so an n-spin z coupling is one coupling inside n-2
+flip sandwiches.  A run of consecutive z-words commutes, so it is reduced
+as one phase polynomial: a parity network tracks the parity each spin holds
+under the flips entered so far and emits each word as one z rotation or one
+coupling once two held parities make it up (GraySynth, Amy, Azimzadeh &
+Mosca, Quantum Sci. Technol. 4:015002, 2019), then undoes the flips.  A
+word alone in its run gets the paper's ladder.  `peephole` then merges
+pulses on the same target across the pulses they commute with, which
+cancels the sandwiches that neighbouring runs share.
 
 All sequences here are in time order.  Angles are meaningful modulo 4*pi
 (a 2*pi rotation is -identity, a physical phase).
@@ -19,8 +23,11 @@ All sequences here are in time order.  Angles are meaningful modulo 4*pi
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import defaultdict
+
+import numpy as np
 
 from .decompose import DecompositionPlan
 from .pulse import Coupling, PulseOp, PulseSequence, Rotation
@@ -103,20 +110,88 @@ def _flips(i: int, j: int, use_pseudo_cnot: bool, allow_z: bool):
     return flip, flip, -2 * CNOT_SEQUENCE_PHASE
 
 
-def _reduce(spins: list[int], angle: float, flips) -> tuple[list[PulseOp], float]:
-    """Pulses and known phase of the all-z word on `spins` (two or more): the
-    last pair's coupling inside the sandwiches `flips(i, j)` of the pairs
-    (s1, s2), ..., (s_{n-2}, s_{n-1}), outermost first, each raising the
-    coupling order by one and restoring its spins.  The phase is radians of
-    e^{i*phase} needed on top of the simulated product."""
-    levels = [flips(i, j) for i, j in zip(spins[:-2], spins[1:-1])]
-    ops = [op for before, _, _ in levels for op in before]
-    ops.append(Coupling(spins[-2], spins[-1], angle))
-    ops.extend(op for _, after, _ in reversed(levels) for op in after)
+def _synthesize(run, flips, z_rotation, ops: list[PulseOp]) -> float:
+    """Append the pulses of a run of all-z words, (spins, angle) pairs, as
+    one parity network, and return the known phase its flips add.
+
+    Spin k holds a parity p_k, the z mask its Z stands for under the flips
+    entered so far; entering flip (i, j) sets p_j ^= p_i, since its
+    sandwich maps Z_j to Z_i*Z_j and fixes every other Z.  A word is kept
+    in held-parity coordinates c, the spins whose parities XOR to its mask,
+    and is emitted as soon as it has one coordinate (a z rotation) or two
+    (one coupling, no flip around it); entering (i, j) sets c_i ^= c_j.
+    While words are pending, the flip that brings the most weight-3 words
+    to weight 2 goes in, then the one that lowers the words' summed weight
+    most, ties to the lowest (i, j).  When no flip does either, the lightest
+    pending word is laddered down to weight 3, which the next flip exposes.
+    The run closes by undoing the entered flips in reverse order.  Words
+    after the last one of weight three or more go out after the undo, so
+    they stay next to the pulses that follow the run (a frame route's
+    closing z rotations, for one).
+    A one-word run is the ladder of the paper's coupling order reduction:
+    flips (s1, s2), ..., (s_{w-2}, s_{w-1}), then the last pair's coupling.
+    """
+
+    def emit(spins, angle):
+        if len(spins) == 1:
+            z_rotation(spins[0], angle)
+        else:
+            ops.append(Coupling(spins[0], spins[1], angle))
+
+    heavy = [k for k, (spins, _) in enumerate(run) if len(spins) > 2]
+    if not heavy:
+        for spins, angle in run:
+            emit(spins, angle)
+        # No flips; -0.0 adds nothing to the ledger, not even a sign.
+        return 0.0 if any(len(spins) == 2 for spins, _ in run) else -0.0
+    run, tail = run[: heavy[-1] + 1], run[heavy[-1] + 1 :]
+    active = sorted({spin for spins, _ in run for spin in spins})
+    column = {spin: k for k, spin in enumerate(active)}
+    c = np.zeros((len(run), len(active)), dtype=np.int64)
+    for row, (spins, _) in enumerate(run):
+        c[row, [column[spin] for spin in spins]] = 1
+    pending = np.arange(len(run))
+    undo: list[list[PulseOp]] = []
     phase = 0.0
-    for _, _, level_phase in levels:
+
+    def enter(p, q):
+        nonlocal phase
+        c[:, p] ^= c[:, q]
+        before, after, level_phase = flips(active[p], active[q])
+        ops.extend(before)
+        undo.append(after)
         phase += level_phase
-    return ops, phase
+
+    while True:
+        weight = c.sum(axis=1)
+        ready = weight <= 2
+        if ready.any():
+            for row, coords in zip(pending[ready].tolist(), c[ready].tolist()):
+                emit([spin for spin, bit in zip(active, coords) if bit], run[row][1])
+            keep = ~ready
+            c, pending, weight = c[keep], pending[keep], weight[keep]
+        if not len(pending):
+            break
+        # score[p, q] ranks flip (p, q) by the weight-3 words it brings to
+        # weight 2, then by how far it lowers the summed weight:
+        # 2*|words holding p and q| - |words holding q|, within [-m, m].
+        m = len(pending)
+        three = c[weight == 3]
+        shared = c.T @ c
+        score = (three.T @ three) * (2 * m + 1) + 2 * shared - shared.diagonal()
+        np.fill_diagonal(score, -m - 1)
+        p, q = divmod(int(score.argmax()), len(active))
+        if score[p, q] > 0:
+            enter(p, q)
+            continue
+        coords = np.flatnonzero(c[weight.argmin()]).tolist()
+        for p, q in zip(coords, coords[1:-2]):
+            enter(p, q)
+    for after in reversed(undo):
+        ops.extend(after)
+    for spins, angle in tail:
+        emit(spins, angle)
+    return phase
 
 
 def reduce_plan(
@@ -126,7 +201,9 @@ def reduce_plan(
     merge: bool = True,
 ) -> PulseSequence:
     """The one rewriting of a plan into pulses: weight-1 x/y ops pass
-    through, every other word is axis-transformed and order-reduced, z
+    through, each maximal run of consecutive all-z ops is synthesized as one
+    parity network (`_synthesize`), every other word is axis-transformed and
+    its z core order-reduced as a one-word run inside its frames, z
     rotations are expanded unless allowed, and `peephole` merges the pulses
     unless `merge` is False.
     The ledger is phase-exact: pseudo flips add no phase, full flips add
@@ -138,22 +215,31 @@ def reduce_plan(
     frame = functools.cache(_frame)
     flips = functools.cache(lambda i, j: _flips(i, j, use_pseudo_cnot, allow_z))
     ops: list[PulseOp] = []
-    phase = -plan.dropped_identity
-    for sop in plan.ops:
-        if abs(sop.angle) < ANGLE_EPS:
-            continue
-        spins = sop.s.support()
-        axes = [sop.s.axis(spin) for spin in spins]
-        if len(spins) == 1 and axes[0] == "z" and not allow_z:
-            pre, post = frame(spins[0], "z")
-            ops += (pre, Rotation(spins[0], "x", sop.angle), post)
-        elif len(spins) == 1:
-            ops.append(Rotation(spins[0], axes[0], sop.angle))
+
+    def z_rotation(spin, angle):
+        if allow_z:
+            ops.append(Rotation(spin, "z", angle))
         else:
+            pre, post = frame(spin, "z")
+            ops.extend((pre, Rotation(spin, "x", angle), post))
+
+    phase = -plan.dropped_identity
+    live = [sop for sop in plan.ops if abs(sop.angle) >= ANGLE_EPS]
+    for diagonal, group in itertools.groupby(live, key=lambda sop: not sop.s.x):
+        if diagonal:
+            run = [(sop.s.support(), sop.angle) for sop in group]
+            phase += _synthesize(run, flips, z_rotation, ops)
+            continue
+        for sop in group:
+            spins = sop.s.support()
+            axes = [sop.s.axis(spin) for spin in spins]
+            if len(spins) == 1:
+                ops.append(Rotation(spins[0], axes[0], sop.angle))
+                continue
             wrappers = [frame(spin, axis) for spin, axis in zip(spins, axes) if axis != "z"]
-            body, extra = _reduce(spins, sop.angle, flips)
-            ops += [pre for pre, _ in wrappers] + body + [post for _, post in reversed(wrappers)]
-            phase += extra
+            ops += [pre for pre, _ in wrappers]
+            phase += _synthesize([(spins, sop.angle)], flips, z_rotation, ops)
+            ops += [post for _, post in reversed(wrappers)]
     seq = PulseSequence(plan.num_spins, ops, math.remainder(phase, 2 * math.pi))
     return peephole(seq) if merge else seq
 

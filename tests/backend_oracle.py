@@ -8,8 +8,9 @@ ANGLE_EPS is shared with the package.  tests/test_kernels.py requires the
 package's passes to reproduce these bit for bit.
 
 Below them are the dense references the other tests build targets from:
-the basis in order, an expansion summed back into a matrix, a plan
-multiplied out word by word, and generators given in product form."""
+the basis in order, all-z words, the exponential of a Hermitian matrix, an
+expansion summed back into a matrix, a plan multiplied out word by word,
+and generators given in product form."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from spinpulse import pauli
+from spinpulse import linalg, pauli
 from spinpulse.decompose import DecompositionPlan, SingleOp
 from spinpulse.generator import GeneratorExpansion
 from spinpulse.pauli import PauliString
@@ -67,7 +68,7 @@ def axis_transform(op: SingleOp) -> tuple[list[PulseOp], SingleOp, list[PulseOp]
         elif axis == "y":
             pre.append(Rotation(spin, "x", HALF_PI))
     post = [Rotation(w.spin, w.axis, -w.angle) for w in reversed(pre)]
-    core = SingleOp(PauliString.z_on(op.s.num_spins, spins), op.angle)
+    core = SingleOp(z_on(op.s.num_spins, spins), op.angle)
     return pre, core, post
 
 
@@ -114,7 +115,7 @@ def reduce_coupling_order(
     contribute their sequence phase twice per level.
     """
     spins = op.s.support()
-    if op.s != PauliString.z_on(op.s.num_spins, spins):
+    if op.s != z_on(op.s.num_spins, spins):
         raise ValueError(f"{op.s} is not an all-z word")
     if not spins:
         raise ValueError("zero-weight word")
@@ -122,7 +123,7 @@ def reduce_coupling_order(
         return [Rotation(spins[0], "z", op.angle)], 0.0
     if len(spins) == 2:
         return [Coupling(spins[0], spins[1], op.angle)], 0.0
-    inner = SingleOp(PauliString.z_on(op.s.num_spins, spins[1:]), op.angle)
+    inner = SingleOp(z_on(op.s.num_spins, spins[1:]), op.angle)
     inner_ops, phase = reduce_coupling_order(inner, use_pseudo_cnot)
     i, j = spins[0], spins[1]
     if use_pseudo_cnot:
@@ -264,6 +265,22 @@ def simulate(seq: PulseSequence) -> np.ndarray:
 def enumerate_basis(num_spins: int) -> list[PauliString]:
     """All 4**n axis words in deterministic basis order."""
     return [PauliString.from_index(i, num_spins) for i in range(4**num_spins)]
+
+
+def z_on(num_spins: int, spins) -> PauliString:
+    """All-z word on the given 1-indexed spins."""
+    return PauliString.from_string(
+        "".join("z" if spin in spins else "0" for spin in range(1, num_spins + 1))
+    )
+
+
+def matrix_exp_hermitian(h: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+    """exp(-i*h) for Hermitian h, via eigendecomposition."""
+    h = linalg.require_square(h)
+    if linalg.max_abs_diff(h, h.conj().T) >= tol:
+        raise ValueError(f"matrix is not Hermitian within tolerance {tol}")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def reconstruct(expansion: GeneratorExpansion) -> np.ndarray:

@@ -22,7 +22,7 @@ def exp_of(expansion):
     identity part."""
     g = backend_oracle.reconstruct(expansion)
     g = g - expansion.identity_coeff * np.eye(g.shape[0])
-    return linalg.matrix_exp_hermitian(g)
+    return backend_oracle.matrix_exp_hermitian(g)
 
 
 def test_single_op_validation():
@@ -89,7 +89,7 @@ def test_euler_matches_oracle():
     ops = decompose.euler_decompose(a, b)
     assert ops[1].angle == pytest.approx(np.sqrt(0.58))
     plan = decompose.DecompositionPlan(1, tuple(ops), True, "euler")
-    target = linalg.matrix_exp_hermitian(
+    target = backend_oracle.matrix_exp_hermitian(
         0.3 * pauli.materialize(word("x")) - 0.7 * pauli.materialize(word("y"))
     )
     assert linalg.max_abs_diff(backend_oracle.simulate_plan(plan), target) < 1e-12
@@ -107,7 +107,7 @@ def test_euler_random_anticommuting_pairs(rng):
         ops = decompose.euler_decompose(SingleOp(sa, angles[0]), SingleOp(sb, angles[1]))
         assert ops[0].angle == -ops[2].angle
         plan = decompose.DecompositionPlan(2, tuple(ops), True, "euler")
-        target = linalg.matrix_exp_hermitian(
+        target = backend_oracle.matrix_exp_hermitian(
             angles[0] * pauli.materialize(sa) + angles[1] * pauli.materialize(sb)
         )
         assert linalg.max_abs_diff(backend_oracle.simulate_plan(plan), target) < 1e-10
@@ -134,7 +134,7 @@ def test_factorized_pure_z():
 
 def test_factorized_pure_x():
     plan = plan_of(FactorizedGenerator(((0.0, 0.45, 0.0, 0.0),)))
-    target = linalg.matrix_exp_hermitian(0.45 * pauli.materialize(word("x")))
+    target = backend_oracle.matrix_exp_hermitian(0.45 * pauli.materialize(word("x")))
     assert linalg.max_abs_diff(backend_oracle.simulate_plan(plan), target) < 1e-12
 
 
@@ -155,7 +155,7 @@ def test_factorized_matrix_matches_plan(rng):
     )
     plan = plan_of(fg)
     assert plan.strategy == "factorized" and plan.exact
-    target = linalg.matrix_exp_hermitian(fg.matrix())
+    target = backend_oracle.matrix_exp_hermitian(fg.matrix())
     m = np.exp(-1j * plan.dropped_identity) * backend_oracle.simulate_plan(plan)
     assert linalg.max_abs_diff(m, target) < 1e-10
 

@@ -8,7 +8,9 @@ other seven were re-pinned when the peephole began merging across
 commuting pulses and commuting words began to go in Gray-code order
 (toffoli 23 -> 19 pulses, toffoli_6 21 -> 19, phase_flip_5 92 -> 86,
 haar_2 132 -> 128; cphase, fphase and cphase_9 reordered at equal length).
-Kernel rewrites must keep every byte; a change that is meant to alter
+phase_flip_5 was re-pinned again when each run of z-words began to be
+synthesized as one parity network (86 -> 74 pulses, 40 -> 34 couplings,
+43.2 -> 33.8 rad of coupling angle).  Kernel rewrites must keep every byte; a change that is meant to alter
 output updates these files and says why.
 
 The diagonal cases (cphase, fphase, phase_flip_5, cphase_9) never call

@@ -5,8 +5,11 @@ commutation check against the pairwise one, idle-spin extraction
 against a kron-built embedding of the core's generator, the diagonal
 path (generator vector and Walsh-Hadamard expansion) against the matrix
 path, and the one-pass pulse back end against its earlier or naive form
-(backend_oracle.py)."""
+(backend_oracle.py) or, where a parity network replaces the word-by-word
+reduction, against the plan's unitary; also the invariant that pulse
+angles are periodic mod 4*pi."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -52,12 +55,12 @@ def kron_pulse_matrix(op, n):
         for f in factors[1:]:
             m = np.kron(m, f)
         return m
-    zz = pauli.materialize(PauliString.z_on(n, [op.i, op.j])) * 2
+    zz = pauli.materialize(backend_oracle.z_on(n, [op.i, op.j])) * 2
     return math.cos(op.angle / 2) * np.eye(2**n) - 1j * math.sin(op.angle / 2) * zz
 
 
 @st.composite
-def pulse_sequences(draw):
+def pulse_sequences(draw, axes="xyz"):
     n = draw(st.integers(1, 6))
     angles = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
     spins = st.integers(1, n)
@@ -67,7 +70,7 @@ def pulse_sequences(draw):
             i, j = draw(st.lists(spins, min_size=2, max_size=2, unique=True))
             ops.append(Coupling(i, j, draw(angles)))  # either index order
         else:
-            ops.append(Rotation(draw(spins), draw(st.sampled_from("xyz")), draw(angles)))
+            ops.append(Rotation(draw(spins), draw(st.sampled_from(axes)), draw(angles)))
     return PulseSequence(n, ops)
 
 
@@ -225,7 +228,7 @@ def test_noise_on_idle_spin(scale, case, axis, data):
     on_spin = {word.axis(spin + 1) for word in generator.expand(g).coeffs} - {"0"}
     assert axis in on_spin if scale > 1 else not on_spin
     g = np.diag(g) if g.ndim == 1 else g  # a diagonal u gives its diagonal
-    assert linalg.max_abs_diff(linalg.matrix_exp_hermitian(g), u) <= 10 * tol
+    assert linalg.max_abs_diff(backend_oracle.matrix_exp_hermitian(g), u) <= 10 * tol
     report = compile_unitary(u, CompileOptions(trotter_steps=1))
     clean = compile_unitary(place(core, active, n), CompileOptions(trotter_steps=1))
     assert report.exact == clean.exact
@@ -328,20 +331,22 @@ plan_angles = st.one_of(edge_angles, st.floats(-20, 20, allow_nan=False))
 
 
 @st.composite
-def words(draw, n):
+def words(draw, n, letters="xyz"):
     support = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
     text = ["0"] * n
     for spin in support:
-        text[spin - 1] = draw(st.sampled_from("xyz"))
+        text[spin - 1] = draw(st.sampled_from(letters))
     return PauliString.from_string("".join(text))
 
 
 @st.composite
 def plans(draw):
     """1-12 single ops on n <= 6 spins.  Ops draw from a small word pool so
-    that neighbours often share a target and the peephole merges them."""
+    that neighbours often share a target and the peephole merges them; some
+    pools hold only z-words, so that runs of them are common."""
     n = draw(st.integers(1, 6))
-    pool = draw(st.lists(words(n), min_size=1, max_size=4))
+    letters = draw(st.sampled_from(["xyz", "z"]))
+    pool = draw(st.lists(words(n, letters), min_size=1, max_size=4))
     ops = tuple(
         SingleOp(draw(st.sampled_from(pool)), draw(plan_angles))
         for _ in range(draw(st.integers(1, 12)))
@@ -356,6 +361,31 @@ def same_sequence(a, b):
     )
 
 
+def network_run(plan):
+    """True when some maximal run of consecutive all-z ops above the angle
+    floor holds two or more words, one of weight three or more: reduce_plan
+    synthesizes such a run as one parity network, not word by word."""
+    run = []
+    for op in plan.ops + (None,):
+        if op is not None and abs(op.angle) < EPS:
+            continue
+        if op is not None and not op.s.x:
+            run.append(op.s.weight)
+            continue
+        if len(run) > 1 and max(run) >= 3:
+            return True
+        run = []
+    return False
+
+
+def assert_ledger_exact(plan, seq):
+    """e^{i*phase} * simulate(seq) is the plan's unitary entry by entry,
+    with no phase fitted."""
+    target = np.exp(-1j * plan.dropped_identity) * backend_oracle.simulate_plan(plan)
+    ledger = np.exp(1j * seq.global_phase) * sim.simulate(seq)
+    assert linalg.max_abs_diff(ledger, target) < 1e-9
+
+
 @pytest.mark.parametrize("allow_z", [False, True])
 @pytest.mark.parametrize("use_pseudo_cnot", [True, False])
 @settings(max_examples=60, deadline=None)
@@ -363,13 +393,67 @@ def same_sequence(a, b):
 def test_reduce_plan_matches_recursive_reduction(allow_z, use_pseudo_cnot, plan):
     options = dict(allow_z=allow_z, use_pseudo_cnot=use_pseudo_cnot)
     raw = reduction.reduce_plan(plan, merge=False, **options)
-    assert same_sequence(raw, backend_oracle.reduce_plan(plan, merge=False, **options))
     merged = reduction.reduce_plan(plan, **options)
-    assert same_sequence(merged, backend_oracle.reduce_plan(plan, **options))
+    # The split the benchmark's tracer times stage by stage.
     assert same_sequence(merged, reduction.peephole(raw))
+    if network_run(plan):
+        # The network's pulses differ from the word-by-word reduction by
+        # design; the unitary and its ledger may not.
+        assert_ledger_exact(plan, raw)
+        assert_ledger_exact(plan, merged)
+        return
+    assert same_sequence(raw, backend_oracle.reduce_plan(plan, merge=False, **options))
+    assert same_sequence(merged, backend_oracle.reduce_plan(plan, **options))
     assert formats.format_sequence(merged) == formats.format_sequence(
         backend_oracle.peephole(raw)
     )
+
+
+@st.composite
+def z_runs(draw):
+    """Plans of 2-10 all-z ops on 3-6 spins, one of them of weight three or
+    more: one run, synthesized as one parity network.  Words may repeat,
+    and the other angles include the edge angles."""
+    n = draw(st.integers(3, 6))
+    masks = st.integers(1, 2**n - 1)
+    zs = draw(st.lists(masks, min_size=1, max_size=9))
+    heavy = draw(masks.filter(lambda z: z.bit_count() >= 3))
+    zs.insert(draw(st.integers(0, len(zs))), heavy)
+    angles = [draw(plan_angles) for _ in zs]
+    angles[zs.index(heavy)] = draw(st.floats(0.01, 20) | st.floats(-20, -0.01))
+    ops = tuple(SingleOp(PauliString(n, 0, z), angle) for z, angle in zip(zs, angles))
+    dropped = draw(st.floats(-10, 10, allow_nan=False))
+    return DecompositionPlan(n, ops, True, "commuting", dropped_identity=dropped)
+
+
+@pytest.mark.parametrize("allow_z", [False, True])
+@pytest.mark.parametrize("use_pseudo_cnot", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(z_runs())
+def test_parity_network_is_ledger_exact(allow_z, use_pseudo_cnot, plan):
+    options = dict(allow_z=allow_z, use_pseudo_cnot=use_pseudo_cnot)
+    raw = reduction.reduce_plan(plan, merge=False, **options)
+    merged = reduction.reduce_plan(plan, **options)
+    assert same_sequence(merged, reduction.peephole(raw))
+    for seq in (raw, merged):
+        assert_ledger_exact(plan, seq)
+        assert allow_z or all(op.axis != "z" for op in seq.ops if isinstance(op, Rotation))
+
+
+@pytest.mark.parametrize("use_pseudo_cnot", [True, False])
+def test_parity_network_ladders_when_no_flip_helps(use_pseudo_cnot):
+    # All 35 weight-4 words on 7 spins: no word has weight 3, and every flip
+    # (i, j) takes as many words up as down (20 hold j, 10 of them i), so
+    # the network ladders the lightest word down instead.
+    n = 7
+    words = [
+        PauliString(n, 0, sum(1 << k for k in spins))
+        for spins in itertools.combinations(range(n), 4)
+    ]
+    ops = tuple(SingleOp(word, 0.1 * (k + 1)) for k, word in enumerate(words))
+    plan = DecompositionPlan(n, ops, True, "commuting", dropped_identity=0.3)
+    for merge in (False, True):
+        assert_ledger_exact(plan, reduction.reduce_plan(plan, use_pseudo_cnot=use_pseudo_cnot, merge=merge))
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,6 +527,25 @@ def test_peephole_preserves_the_simulated_matrix(seq):
     # Entry by entry, with no phase fitted: the ledger needs no change.
     assert linalg.max_abs_diff(sim.simulate(merged), sim.simulate(seq)) < 1e-12
     assert same_sequence(merged, backend_oracle.peephole(seq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pulse_sequences(axes="xy"), st.data())
+def test_angles_are_periodic_mod_4pi(seq, data):
+    # A rotation or coupling by 4*pi is the identity, so adding it to any
+    # pulse leaves the ledgered unitary as it is, before and after peephole.
+    if not seq.ops:
+        return
+    seq.global_phase = data.draw(st.floats(-4, 4, allow_nan=False))
+    k = data.draw(st.integers(0, len(seq.ops) - 1))
+    turns = data.draw(st.sampled_from([-2, -1, 1, 2]))
+    ops = list(seq.ops)
+    ops[k] = replace(ops[k], angle=ops[k].angle + 4 * math.pi * turns)
+    shifted = PulseSequence(seq.num_spins, ops, seq.global_phase)
+    for a, b in [(seq, shifted), (reduction.peephole(seq), reduction.peephole(shifted))]:
+        ledger_a = np.exp(1j * a.global_phase) * sim.simulate(a)
+        ledger_b = np.exp(1j * b.global_phase) * sim.simulate(b)
+        assert linalg.max_abs_diff(ledger_a, ledger_b) < 1e-12
 
 
 @st.composite

@@ -48,7 +48,7 @@ def near_edge(n, base, tol, scale, kind, seed):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     if kind == "unitary":
         h = (m + m.conj().T) / 2
-        return linalg.matrix_exp_hermitian(scale * tol * h / np.max(np.abs(h))) @ u
+        return backend_oracle.matrix_exp_hermitian(scale * tol * h / np.max(np.abs(h))) @ u
     if kind == "additive":
         return u + scale * tol * m / np.max(np.abs(m))
     return u * (1 + scale * tol * rng.uniform(-1, 1, dim))
@@ -90,9 +90,9 @@ def test_frame_route_splits_at_tol(n, tol):
     u = exact_bases(n)[3]
     h = pauli.materialize(PauliString.from_string("xx" + "0" * (n - 2)))
     options = CompileOptions(tol=tol, trotter_steps=1)
-    below = compile_unitary(linalg.matrix_exp_hermitian(0.1 * tol * h) @ u, options)
+    below = compile_unitary(backend_oracle.matrix_exp_hermitian(0.1 * tol * h) @ u, options)
     assert below.strategy == "factorized" and below.exact and below.verified
-    above = compile_unitary(linalg.matrix_exp_hermitian(10 * tol * h) @ u, options)
+    above = compile_unitary(backend_oracle.matrix_exp_hermitian(10 * tol * h) @ u, options)
     assert above.strategy == "trotter" and not above.exact
 
 
