@@ -204,13 +204,12 @@ def plan(
     Commuting terms may go in any order; they go in the Gray-code order of
     their z masks (PauliString.gray_rank), ties in basis order, as the CNOT
     ladders of Gray-ordered diagonal terms do in Welch et al., NJP
-    16:033040 (2014).  Consecutive z-words form one run, which
-    reduction.reduce_plan synthesizes as one parity network, emitting the
-    words a flip makes ready in this order.  Words with x or y letters are
-    reduced one by one inside their frames; with neighbouring z masks one
-    spin apart, their flip ladders share outer levels and cancel in the
-    peephole.  The factorized route plans the diagonal core that way: the
-    inverse frame ops, then the core's z-words, then the frame ops.
+    16:033040 (2014).  Consecutive words that agree letter by letter (the
+    commuting route in any per-spin frame) form one run, which
+    reduction.reduce_plan synthesizes as one parity network inside shared
+    frames, emitting the words a flip makes ready in this order.  The
+    factorized route plans the diagonal core that way: the inverse frame
+    ops, then the core's z-words, then the frame ops.
     """
     strategy, frame = _route(expansion, tol)
     if strategy == STRATEGY_TROTTER:

@@ -22,12 +22,6 @@ import numpy as np
 
 from . import linalg
 
-SIGMA = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # (x, z) bits of each slot letter, and the letter of each x + 2*z.
 _BITS = {"0": (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
 _LETTERS = "0xzy"
@@ -146,6 +140,11 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     if a.num_spins != b.num_spins:
         raise ValueError(f"length mismatch: {a} vs {b}")
     return (a.x & b.z ^ a.z & b.x).bit_count() % 2 == 0
+
+
+def agree(a: PauliString, b: PauliString) -> bool:
+    """True iff the words carry the same letter on every spin they share."""
+    return not ((a.x ^ b.x) | (a.z ^ b.z)) & (a.x | a.z) & (b.x | b.z)
 
 
 def commutator(a: PauliString, b: PauliString) -> tuple[PauliString, complex] | None:

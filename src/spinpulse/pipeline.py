@@ -3,7 +3,6 @@ and verification by direct simulation up to global phase."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,8 @@ class CompileOptions:
     few tol away from exact gates.  tol must be finite and may not go below
     reduction.ANGLE_EPS (1e-14), the rounding floor under which cancelling
     pulse angles are dropped, so a pulse it drops moves the sequence by
-    less than tol/2.
+    less than tol/2.  It must stay below 0.2: at 10*tol >= 2, the largest
+    entrywise distance of two unitaries up to phase, no verification fails.
     linalg.require_unitary is not part of the model.
     """
 
@@ -64,10 +64,9 @@ class CompileOptions:
     max_verify_spins: int = DEFAULT_VERIFY_LIMIT
 
     def __post_init__(self):
-        if not reduction.ANGLE_EPS <= self.tol < math.inf:  # NaN fails this too
-            raise ValueError(
-                f"tol must be finite and at least the angle floor {reduction.ANGLE_EPS:g}"
-            )
+        if not reduction.ANGLE_EPS <= self.tol < 0.2:  # NaN fails this too
+            floor = f"the angle floor {reduction.ANGLE_EPS:g}"
+            raise ValueError(f"tol must be finite, at least {floor} and below 0.2")
         if self.trotter_steps < 1:
             raise ValueError("trotter_steps must be at least 1")
 

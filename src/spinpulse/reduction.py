@@ -1,20 +1,17 @@
 """Rewriting of a decomposition plan into allowed pulses.
 
 The allowed set is single-spin x/y rotations and the two-spin Ising
-coupling.  `reduce_plan` rewrites a plan in one pass and does both of the
-paper's replacements there.  Axes transformation: every x or y axis of a
-word is conjugated to z by a quarter-turn frame, and a bare z rotation
-becomes a composite of x/y pulses.  Coupling order reduction: conjugating
-by a (pseudo) controlled flip on a spin pair raises the coupling order of
-the inner block by one, so an n-spin z coupling is one coupling inside n-2
-flip sandwiches.  A run of consecutive z-words commutes, so it is reduced
-as one phase polynomial: a parity network tracks the parity each spin holds
-under the flips entered so far and emits each word as one z rotation or one
-coupling once two held parities make it up (GraySynth, Amy, Azimzadeh &
-Mosca, Quantum Sci. Technol. 4:015002, 2019), then undoes the flips.  A
-word alone in its run gets the paper's ladder.  `peephole` then merges
-pulses on the same target across the pulses they commute with, which
-cancels the sandwiches that neighbouring runs share.
+coupling.  `reduce_plan` does both of the paper's replacements in one pass.
+Axes transformation: a quarter-turn frame conjugates an x or y letter to z,
+and a bare z rotation becomes a composite of x/y pulses.  Coupling order
+reduction: conjugating by a (pseudo) controlled flip on a spin pair raises
+the coupling order of the inner block by one, so an n-spin z coupling is
+one coupling inside n-2 flip sandwiches.  Words that carry one letter on
+each spin they share commute, so a run of them is reduced inside shared
+frames as one phase polynomial, by a parity network (GraySynth, Amy,
+Azimzadeh & Mosca, Quantum Sci. Technol. 4:015002, 2019); a word alone in
+its run gets the paper's ladder.  `peephole` then merges pulses on the same
+target across the pulses they commute with.
 
 All sequences here are in time order.  Angles are meaningful modulo 4*pi
 (a 2*pi rotation is -identity, a physical phase).
@@ -23,13 +20,13 @@ All sequences here are in time order.  Angles are meaningful modulo 4*pi
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import defaultdict
 
 import numpy as np
 
 from .decompose import DecompositionPlan
+from .pauli import PauliString, agree
 from .pulse import Coupling, PulseOp, PulseSequence, Rotation
 
 HALF_PI = math.pi / 2
@@ -111,8 +108,8 @@ def _flips(i: int, j: int, use_pseudo_cnot: bool, allow_z: bool):
 
 
 def _synthesize(run, flips, z_rotation, ops: list[PulseOp]) -> float:
-    """Append the pulses of a run of all-z words, (spins, angle) pairs, as
-    one parity network, and return the known phase its flips add.
+    """Append the pulses of a run of z-words, (spins, angle) pairs, as one
+    parity network, and return the known phase its flips add.
 
     Spin k holds a parity p_k, the z mask its Z stands for under the flips
     entered so far; entering flip (i, j) sets p_j ^= p_i, since its
@@ -125,9 +122,8 @@ def _synthesize(run, flips, z_rotation, ops: list[PulseOp]) -> float:
     most, ties to the lowest (i, j).  When no flip does either, the lightest
     pending word is laddered down to weight 3, which the next flip exposes.
     The run closes by undoing the entered flips in reverse order.  Words
-    after the last one of weight three or more go out after the undo, so
-    they stay next to the pulses that follow the run (a frame route's
-    closing z rotations, for one).
+    after the last one of weight three or more go out after the undo, next
+    to the pulses that follow (the run's closing frames, or the next run).
     A one-word run is the ladder of the paper's coupling order reduction:
     flips (s1, s2), ..., (s_{w-2}, s_{w-1}), then the last pair's coupling.
     """
@@ -200,18 +196,15 @@ def reduce_plan(
     use_pseudo_cnot: bool = True,
     merge: bool = True,
 ) -> PulseSequence:
-    """The one rewriting of a plan into pulses: weight-1 x/y ops pass
-    through, each maximal run of consecutive all-z ops is synthesized as one
-    parity network (`_synthesize`), every other word is axis-transformed and
-    its z core order-reduced as a one-word run inside its frames, z
-    rotations are expanded unless allowed, and `peephole` merges the pulses
-    unless `merge` is False.
+    """The one rewriting of a plan into pulses.  A run, a maximal stretch of
+    consecutive ops in which every spin sees one letter (pauli.agree), opens
+    the frame of each x or y letter once, synthesizes its words' z images as
+    one parity network (`_synthesize`) and closes the frames.  An x/y op on
+    one spin joins no run: it goes out at once, ahead of a pending run it
+    agrees (so commutes) with, and closes one it does not.  z rotations are
+    expanded unless allowed, and `peephole` merges unless `merge` is False.
     The ledger is phase-exact: pseudo flips add no phase, full flips add
-    their sequence phase twice per level.
-
-    One pass emits the pulses.  Frames and flip sandwiches (z expanded) are
-    built once per spin or pair in this call and shared, as pulses are frozen.
-    """
+    their sequence phase twice per level."""
     frame = functools.cache(_frame)
     flips = functools.cache(lambda i, j: _flips(i, j, use_pseudo_cnot, allow_z))
     ops: list[PulseOp] = []
@@ -224,22 +217,32 @@ def reduce_plan(
             ops.extend((pre, Rotation(spin, "x", angle), post))
 
     phase = -plan.dropped_identity
-    live = [sop for sop in plan.ops if abs(sop.angle) >= ANGLE_EPS]
-    for diagonal, group in itertools.groupby(live, key=lambda sop: not sop.s.x):
-        if diagonal:
-            run = [(sop.s.support(), sop.angle) for sop in group]
-            phase += _synthesize(run, flips, z_rotation, ops)
+    letters, run = None, []
+
+    def close_run():
+        nonlocal phase
+        frames = [frame(k, a) for k in letters.support() if (a := letters.axis(k)) != "z"]
+        ops.extend(pre for pre, _ in frames)
+        phase += _synthesize(run, flips, z_rotation, ops)
+        ops.extend(post for _, post in reversed(frames))
+        run.clear()
+
+    for sop in plan.ops:
+        if abs(sop.angle) < ANGLE_EPS:
             continue
-        for sop in group:
-            spins = sop.s.support()
-            axes = [sop.s.axis(spin) for spin in spins]
-            if len(spins) == 1:
-                ops.append(Rotation(spins[0], axes[0], sop.angle))
-                continue
-            wrappers = [frame(spin, axis) for spin, axis in zip(spins, axes) if axis != "z"]
-            ops += [pre for pre, _ in wrappers]
-            phase += _synthesize([(spins, sop.angle)], flips, z_rotation, ops)
-            ops += [post for _, post in reversed(wrappers)]
+        s, spins = sop.s, sop.s.support()
+        if run and not agree(letters, s):
+            close_run()
+        if len(spins) == 1 and s.x:
+            ops.append(Rotation(spins[0], s.axis(spins[0]), sop.angle))
+            continue
+        if not run:
+            letters = s
+        elif (s.x | s.z) & ~(letters.x | letters.z):  # new spins join the run's letters
+            letters = PauliString(s.num_spins, letters.x | s.x, letters.z | s.z)
+        run.append((spins, sop.angle))
+    if run:
+        close_run()
     seq = PulseSequence(plan.num_spins, ops, math.remainder(phase, 2 * math.pi))
     return peephole(seq) if merge else seq
 

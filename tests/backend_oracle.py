@@ -8,9 +8,9 @@ ANGLE_EPS is shared with the package.  tests/test_kernels.py requires the
 package's passes to reproduce these bit for bit.
 
 Below them are the dense references the other tests build targets from:
-the basis in order, all-z words, the exponential of a Hermitian matrix, an
-expansion summed back into a matrix, a plan multiplied out word by word,
-and generators given in product form."""
+the Pauli matrices, the basis in order, all-z words, the exponential of a
+Hermitian matrix, an expansion summed back into a matrix, a plan multiplied
+out word by word, and generators given in product form."""
 
 from __future__ import annotations
 
@@ -251,7 +251,7 @@ def simulate(seq: PulseSequence) -> np.ndarray:
             if op.spin > n:
                 raise ValueError(f"spin {op.spin} out of range 1..{n}")
             pairs = m.reshape(2 ** (op.spin - 1), 2, -1)
-            pairs[:] = _exp_sigma(op.angle, pauli.SIGMA[op.axis]) @ pairs
+            pairs[:] = _exp_sigma(op.angle, SIGMA[op.axis]) @ pairs
         elif isinstance(op, Coupling):
             if op.j > n:
                 raise ValueError(f"spin {op.j} out of range 1..{n}")
@@ -260,6 +260,13 @@ def simulate(seq: PulseSequence) -> np.ndarray:
         else:
             raise TypeError(f"unknown pulse op {op!r}")
     return m
+
+
+SIGMA = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def enumerate_basis(num_spins: int) -> list[PauliString]:
@@ -324,6 +331,6 @@ class FactorizedGenerator:
         for phi0, *spin_part in self.per_spin:
             factor = phi0 * np.eye(2, dtype=complex)
             for axis, value in zip("xyz", spin_part):
-                factor += value * pauli.SIGMA[axis] / 2
+                factor += value * SIGMA[axis] / 2
             g = np.kron(g, factor)
         return g

@@ -170,7 +170,7 @@ def test_simulate_json_output(capsys, tmp_path):
     code, stdout, _ = run(capsys, "simulate", str(path), "--format", "json")
     assert code == 0
     m = formats.matrix_from_dict(json.loads(stdout))
-    np.testing.assert_allclose(m, -1j * pauli.SIGMA["x"], atol=1e-12)
+    np.testing.assert_allclose(m, -1j * backend_oracle.SIGMA["x"], atol=1e-12)
 
 
 def test_verify_mismatch_exits_3(capsys, tmp_path):
@@ -309,7 +309,7 @@ def test_verify_trace_orthogonal_mismatch_exits_3(capsys, tmp_path):
     seq_path = tmp_path / "x.seq"
     seq_path.write_text("spins 1\nR 1 x 3.141592653589793\n")
     path = tmp_path / "z.txt"
-    path.write_text(formats.format_matrix(pauli.SIGMA["z"].astype(complex)))
+    path.write_text(formats.format_matrix(backend_oracle.SIGMA["z"].astype(complex)))
     code, stdout, _ = run(capsys, "verify", str(seq_path), "--matrix", str(path))
     assert code == 3
     assert stdout.splitlines()[0].startswith("residual")
@@ -330,6 +330,11 @@ def test_tol_below_angle_floor_exits_1(capsys):
     )
     assert code == 1 and stdout == ""
     assert "angle floor" in stderr
+    # At 10*tol >= 2 verification cannot fail: this compile printed no
+    # pulses, "exact True; residual 1.000e+00" and exited 0.
+    code, stdout, stderr = run(capsys, "compile", "--gate", "cnot", "--tol", "0.5")
+    assert code == 1 and stdout == ""
+    assert "below 0.2" in stderr
 
 
 def test_matrix_file_phase_comment_is_a_comment(capsys, tmp_path):
@@ -338,7 +343,7 @@ def test_matrix_file_phase_comment_is_a_comment(capsys, tmp_path):
     code, stdout, _ = run(capsys, "compile", "--matrix", str(path))
     assert code == 0
     assert sim.equal_up_to_phase(
-        sim.simulate(formats.parse_sequence(stdout)), pauli.SIGMA["z"], 1e-9
+        sim.simulate(formats.parse_sequence(stdout)), backend_oracle.SIGMA["z"], 1e-9
     ).equal
 
 

@@ -2,16 +2,21 @@
 file realizes its target.
 
 The files under tests/golden/ hold the `format_sequence` text of each case.
-cnot and swap date from before the vectorized expand/extract/simulate
-kernels, swap_9 from before generator extraction split off idle spins; the
+cnot and swap were pinned before the vectorized expand/extract/simulate
+kernels, swap_9 before generator extraction split off idle spins; the
 other seven were re-pinned when the peephole began merging across
 commuting pulses and commuting words began to go in Gray-code order
 (toffoli 23 -> 19 pulses, toffoli_6 21 -> 19, phase_flip_5 92 -> 86,
 haar_2 132 -> 128; cphase, fphase and cphase_9 reordered at equal length).
 phase_flip_5 was re-pinned again when each run of z-words began to be
 synthesized as one parity network (86 -> 74 pulses, 40 -> 34 couplings,
-43.2 -> 33.8 rad of coupling angle).  Kernel rewrites must keep every byte; a change that is meant to alter
-output updates these files and says why.
+43.2 -> 33.8 rad of coupling angle).  cnot, toffoli, toffoli_6 and haar_2
+were re-pinned at equal counts when each run of words that agree letter by
+letter began to open its frames once around one parity network, and an x/y
+rotation on one spin to go out ahead of a pending run it commutes with:
+only pulses on different spins changed places.  Kernel rewrites must keep
+every byte; a change that is meant to alter output updates these files and
+says why.
 
 The diagonal cases (cphase, fphase, phase_flip_5, cphase_9) never call
 `eigh`, so their bytes do not depend on the numerical library.  The others

@@ -50,7 +50,8 @@ def kron_pulse_matrix(op, n):
     if isinstance(op, Rotation):
         half = op.angle / 2
         factors = [eye] * n
-        factors[op.spin - 1] = math.cos(half) * eye - 1j * math.sin(half) * pauli.SIGMA[op.axis]
+        sigma = backend_oracle.SIGMA[op.axis]
+        factors[op.spin - 1] = math.cos(half) * eye - 1j * math.sin(half) * sigma
         m = factors[0]
         for f in factors[1:]:
             m = np.kron(m, f)
@@ -200,7 +201,7 @@ def test_global_phase_compiles_to_empty_exact_ledger(n, phi):
 def idle_spin_noise(n, spin, axis, angle):
     """exp(-i*angle*sigma_axis/2) on one spin, the identity elsewhere."""
     return place(
-        math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * pauli.SIGMA[axis],
+        math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * backend_oracle.SIGMA[axis],
         [spin],
         n,
     )
@@ -362,19 +363,27 @@ def same_sequence(a, b):
 
 
 def network_run(plan):
-    """True when some maximal run of consecutive all-z ops above the angle
-    floor holds two or more words, one of weight three or more: reduce_plan
-    synthesizes such a run as one parity network, not word by word."""
-    run = []
-    for op in plan.ops + (None,):
-        if op is not None and abs(op.angle) < EPS:
+    """True when some run holds two or more ops, one of them with an x or
+    y letter or of weight three or more.  A run is a maximal stretch of
+    consecutive ops above the angle floor in which every spin sees one
+    letter; it holds its words and the x/y rotations that go out ahead of
+    it while it is pending.  reduce_plan synthesizes such a run as one
+    parity network inside shared frames, not word by word."""
+    empty = PauliString(plan.num_spins, 0, 0)
+    letters, held, shaped = empty, 0, False
+    for op in plan.ops:
+        if abs(op.angle) < EPS:
             continue
-        if op is not None and not op.s.x:
-            run.append(op.s.weight)
+        if not pauli.agree(letters, op.s):
+            letters, held, shaped = empty, 0, False
+        if op.s.weight > 1 or not op.s.x:
+            letters = PauliString(plan.num_spins, letters.x | op.s.x, letters.z | op.s.z)
+        elif letters == empty:
             continue
-        if len(run) > 1 and max(run) >= 3:
+        held += 1
+        shaped |= bool(op.s.x) or op.s.weight > 2
+        if held > 1 and shaped:
             return True
-        run = []
     return False
 
 
@@ -431,6 +440,44 @@ def z_runs(draw):
 @settings(max_examples=60, deadline=None)
 @given(z_runs())
 def test_parity_network_is_ledger_exact(allow_z, use_pseudo_cnot, plan):
+    options = dict(allow_z=allow_z, use_pseudo_cnot=use_pseudo_cnot)
+    raw = reduction.reduce_plan(plan, merge=False, **options)
+    merged = reduction.reduce_plan(plan, **options)
+    assert same_sequence(merged, reduction.peephole(raw))
+    for seq in (raw, merged):
+        assert_ledger_exact(plan, seq)
+        assert allow_z or all(op.axis != "z" for op in seq.ops if isinstance(op, Rotation))
+
+
+@st.composite
+def framed_runs(draw):
+    """Plans of 1-3 blocks on 2-6 spins.  Each block draws a letter per
+    spin (x, y or z) and 1-6 z masks, and carries every mask in those
+    letters, so a block's words commute: a z run conjugated by per-spin
+    frames.  x/y words on one spin are mixed in; each agrees with its block
+    on its spin or closes the run.  The angles include the edge angles."""
+    n = draw(st.integers(2, 6))
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        letters = draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n))
+        for _ in range(draw(st.integers(1, 6))):
+            mask = draw(st.integers(1, 2**n - 1))
+            text = [letters[k] if mask >> (n - 1 - k) & 1 else "0" for k in range(n)]
+            ops.append(SingleOp(PauliString.from_string("".join(text)), draw(plan_angles)))
+            if draw(st.integers(0, 3)) == 0:
+                spin, axis = draw(st.integers(1, n)), draw(st.sampled_from("xy"))
+                ops.append(SingleOp(PauliString.single(n, spin, axis), draw(plan_angles)))
+    dropped = draw(st.floats(-10, 10, allow_nan=False))
+    return DecompositionPlan(n, tuple(ops), True, "commuting", dropped_identity=dropped)
+
+
+@pytest.mark.parametrize("allow_z", [False, True])
+@pytest.mark.parametrize("use_pseudo_cnot", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(framed_runs())
+def test_framed_runs_are_ledger_exact(allow_z, use_pseudo_cnot, plan):
+    # Each run opens its frames once around one parity network; the weight-1
+    # x/y words pass it or close it.  The ledger must stay exact either way.
     options = dict(allow_z=allow_z, use_pseudo_cnot=use_pseudo_cnot)
     raw = reduction.reduce_plan(plan, merge=False, **options)
     merged = reduction.reduce_plan(plan, **options)
@@ -563,7 +610,7 @@ def edge_pulse_sequences(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from("xyz"), st.one_of(edge_angles, st.floats(-1e3, 1e3, allow_nan=False)))
 def test_rotation_entries_match_matrix_expression_bit_for_bit(axis, angle):
-    expected = backend_oracle._exp_sigma(angle, pauli.SIGMA[axis])
+    expected = backend_oracle._exp_sigma(angle, backend_oracle.SIGMA[axis])
     assert sim._rotation(axis, angle).tobytes() == expected.tobytes()
 
 

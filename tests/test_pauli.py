@@ -20,7 +20,7 @@ def test_materialize_single_z():
 
 def test_materialize_weight_two():
     m = pauli.materialize(word("xy"))
-    expected = np.kron(pauli.SIGMA["x"], pauli.SIGMA["y"]) / 2
+    expected = np.kron(backend_oracle.SIGMA["x"], backend_oracle.SIGMA["y"]) / 2
     np.testing.assert_array_equal(m, expected)
 
 

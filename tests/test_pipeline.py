@@ -19,7 +19,7 @@ from spinpulse import (
 )
 from spinpulse.generator import BranchConvention
 from spinpulse.pauli import PauliString
-from spinpulse.pulse import Rotation
+from spinpulse.pulse import Coupling, Rotation
 
 import backend_oracle
 from backend_oracle import FactorizedGenerator
@@ -120,6 +120,47 @@ def test_verification_skipped_above_limit():
     assert report.verified is None
 
 
+def multi_controlled_x(k):
+    """C^kX on k + 1 spins: the last spin flips when the first k read 1."""
+    states = np.arange(2 ** (k + 1))
+    controls = 2 ** (k + 1) - 2
+    flipped = np.where(states & controls == controls, states ^ 1, states)
+    return np.eye(2 ** (k + 1), dtype=complex)[flipped]
+
+
+def grover_diffusion(n):
+    """-H^n (I - 2|0><0|) H^n, the diffusion step of a Grover search."""
+    h = np.ones((1, 1))
+    for _ in range(n):
+        h = np.kron(h, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    return -h @ gates.phase_flip([0], n) @ h
+
+
+# Pulses and couplings of C^kZ on n = k + 1 spins, and of -(I - 2|0><0|).
+_TWIN_COUNTS = {3: (19, 6), 4: (41, 17), 5: (83, 40), 6: (165, 87)}
+
+
+@pytest.mark.parametrize("n", sorted(_TWIN_COUNTS))
+@pytest.mark.parametrize("block", ["controlled_x", "diffusion"])
+def test_x_frame_block_costs_its_z_twin(block, n):
+    """A z twin has the same words with every x letter turned into z: C^kZ
+    for C^kX, -(I - 2|0><0|) for the diffusion.  The gate's words share one
+    letter per spin, so they form one run, which the twin's parity network
+    reduces inside shared x frames: same pulses, couplings and angle, with
+    an exact ledger."""
+    if block == "controlled_x":
+        gate, twin = multi_controlled_x(n - 1), gates.phase_flip([2**n - 1], n)
+    else:
+        gate, twin = grover_diffusion(n), -gates.phase_flip([0], n)
+    angles = []
+    for u in (gate, twin):
+        ops = assert_ledger_exact(u, pipeline.CompileOptions()).sequence.ops
+        couplings = [op for op in ops if isinstance(op, Coupling)]
+        assert (len(ops), len(couplings)) == _TWIN_COUNTS[n]
+        angles.append(sum(abs(op.angle) for op in couplings))
+    assert abs(angles[0] - angles[1]) < 1e-9
+
+
 def test_rejects_non_unitary():
     with pytest.raises(ValueError):
         pipeline.compile_unitary(np.diag([1.0, 2.0]).astype(complex))
@@ -140,6 +181,15 @@ def test_rejects_infinite_tol():
     # At tol=inf a cnot compiled to no pulses and still read exact and verified.
     with pytest.raises(ValueError, match="finite"):
         pipeline.CompileOptions(tol=math.inf)
+
+
+def test_rejects_tol_that_cannot_fail_verification():
+    # At 10*tol >= 2 no two unitaries differ by more than 10*tol entrywise:
+    # a cnot compiled to no pulses and verified with residual 1.
+    for tol in (0.2, 0.5, 1.0):
+        with pytest.raises(ValueError, match="below 0.2"):
+            pipeline.CompileOptions(tol=tol)
+    assert pipeline.CompileOptions(tol=0.19).tol == 0.19
 
 
 def compile_exp(fg):

@@ -10,7 +10,7 @@ import backend_oracle
 
 def test_rotation_closed_form():
     m = sim.simulate(PulseSequence(1, [Rotation(1, "x", np.pi)]))
-    np.testing.assert_allclose(m, -1j * pauli.SIGMA["x"], atol=1e-15)
+    np.testing.assert_allclose(m, -1j * backend_oracle.SIGMA["x"], atol=1e-15)
 
 
 def test_coupling_closed_form():
@@ -107,6 +107,6 @@ def test_different_magnitudes_rejected():
 def test_equal_up_to_phase_trace_orthogonal():
     # tr(sigma_z† sigma_x) = 0 leaves no phase to pick; the comparison
     # still answers instead of raising.
-    comparison = sim.equal_up_to_phase(pauli.SIGMA["x"], pauli.SIGMA["z"], 1e-9)
+    comparison = sim.equal_up_to_phase(backend_oracle.SIGMA["x"], backend_oracle.SIGMA["z"], 1e-9)
     assert not comparison.equal
     assert comparison.residual == pytest.approx(1.0)
