@@ -201,15 +201,13 @@ def plan(
     """Decompose along `route(expansion, tol)`: one op per term, the Euler
     sandwich, the frame sandwich or the first-order formula.
 
-    Commuting terms may go in any order; they go in the Gray-code order of
-    their z masks (PauliString.gray_rank), ties in basis order, as the CNOT
-    ladders of Gray-ordered diagonal terms do in Welch et al., NJP
-    16:033040 (2014).  Consecutive words that agree letter by letter (the
-    commuting route in any per-spin frame) form one run, which
-    reduction.reduce_plan synthesizes as one parity network inside shared
-    frames, emitting the words a flip makes ready in this order.  The
-    factorized route plans the diagonal core that way: the inverse frame
-    ops, then the core's z-words, then the frame ops.
+    Commuting terms may go in any order; they go in basis order.
+    Consecutive words that agree letter by letter (the commuting route in
+    any per-spin frame) form one run, which reduction.reduce_plan
+    synthesizes as one parity network inside shared frames, emitting the
+    words a flip makes ready in this order.  The factorized route plans the
+    diagonal core that way: the inverse frame ops, then the core's z-words,
+    then the frame ops.
     """
     strategy, frame = _route(expansion, tol)
     if strategy == STRATEGY_TROTTER:
@@ -218,8 +216,7 @@ def plan(
         pre, diagonal, post = frame
         ops = pre + list(plan(expand(diagonal, tol)).ops) + post
     elif strategy == STRATEGY_COMMUTING:
-        terms = sorted(expansion.coeffs.items(), key=lambda term: (term[0].gray_rank, term[0]))
-        ops = [SingleOp(word, value) for word, value in terms]
+        ops = [SingleOp(word, value) for word, value in expansion.terms()]
     else:
         terms = expansion.terms()
         ops = euler_decompose(SingleOp(*terms[0]), SingleOp(*terms[1]))

@@ -41,8 +41,9 @@ class GeneratorExpansion:
     identity_coeff: float = 0.0
 
     def terms(self) -> list[tuple[PauliString, float]]:
-        """Nonzero-weight terms in deterministic basis order."""
-        return sorted(self.coeffs.items())
+        """Nonzero-weight terms in deterministic basis order (the words of
+        one expansion share num_spins, so their index orders them)."""
+        return sorted(self.coeffs.items(), key=lambda term: term[0].index)
 
     def all_commuting(self) -> bool:
         """True iff every pair of terms commutes.

@@ -19,7 +19,9 @@ MAX_SPINS = 10
 
 
 def require_spin_count(n: int) -> None:
-    """ValueError when n exceeds MAX_SPINS; runs before any 2**n allocation."""
+    """ValueError unless 1 <= n <= MAX_SPINS; runs before any 2**n allocation."""
+    if n < 1:
+        raise ValueError(f"spin count must be positive, got {n}")
     if n > MAX_SPINS:
         raise ValueError(f"{n} spins exceeds the compile limit {MAX_SPINS}")
 
@@ -33,7 +35,8 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 
 def num_spins_for_dim(dim: int) -> int:
-    """n with 2**n == dim; ValueError unless dim is a power of two, n <= MAX_SPINS."""
+    """n with 2**n == dim; ValueError unless dim is a power of two and
+    1 <= n <= MAX_SPINS."""
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"matrix dimension {dim} is not a power of two")

@@ -9,14 +9,17 @@ a word is i**|x&z| * X**x Z**z, and the materialized operator is one half
 of it for every word, including the all-zero one (equivalently 2**(q-1)
 times the tensor product of E and the spin operators sigma/2 for weight q).
 
-This module is the only one that knows the encoding; the rest of the
-compiler goes through the word API below.
+The rest of the compiler goes through the word API below, except in three
+places that use the masks directly: generator.expand builds z-words from
+their z masks, generator.GeneratorExpansion.all_commuting tests
+commutation on the masks in bulk, and reduction.reduce_plan merges the
+letters of a run with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cache, total_ordering
 
 import numpy as np
 
@@ -80,19 +83,9 @@ class PauliString:
 
     @property
     def index(self) -> int:
-        """Base-4 basis index.  A binary numeral read in base 4 moves bit k
-        to bit 2k, which spreads a mask onto the digits' low bits."""
-        return 2 * int(f"{self.z:b}", 4) + int(f"{self.x ^ self.z:b}", 4)
-
-    @property
-    def gray_rank(self) -> int:
-        """Position of the z mask in the binary reflected Gray code, whose
-        neighbours differ in one spin: the XOR of the mask's right shifts."""
-        rank, z = 0, self.z
-        while z:
-            rank ^= z
-            z >>= 1
-        return rank
+        """Base-4 basis index: z spread onto the digits' high bits, x XOR z
+        onto their low bits."""
+        return 2 * _spread(self.z) + _spread(self.x ^ self.z)
 
     @property
     def weight(self) -> int:
@@ -113,6 +106,12 @@ class PauliString:
 
     def __str__(self) -> str:
         return "".join(self.axis(spin) for spin in range(1, self.num_spins + 1))
+
+
+@cache
+def _spread(mask: int) -> int:
+    """Bit k of mask moved to bit 2k: its binary numeral read in base 4."""
+    return int(f"{mask:b}", 4)
 
 
 def _spin_bit(num_spins: int, spin: int) -> int:

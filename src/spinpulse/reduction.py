@@ -9,9 +9,10 @@ the coupling order of the inner block by one, so an n-spin z coupling is
 one coupling inside n-2 flip sandwiches.  Words that carry one letter on
 each spin they share commute, so a run of them is reduced inside shared
 frames as one phase polynomial, by a parity network (GraySynth, Amy,
-Azimzadeh & Mosca, Quantum Sci. Technol. 4:015002, 2019); a word alone in
-its run gets the paper's ladder.  `peephole` then merges pulses on the same
-target across the pulses they commute with.
+Azimzadeh & Mosca, Quantum Sci. Technol. 4:015002, 2019) that every word
+of the run enters; a word alone in its run gets the paper's ladder.
+`peephole` then merges pulses on the same target across the pulses they
+commute with.
 
 All sequences here are in time order.  Angles are meaningful modulo 4*pi
 (a 2*pi rotation is -identity, a physical phase).
@@ -121,11 +122,11 @@ def _synthesize(run, flips, z_rotation, ops: list[PulseOp]) -> float:
     to weight 2 goes in, then the one that lowers the words' summed weight
     most, ties to the lowest (i, j).  When no flip does either, the lightest
     pending word is laddered down to weight 3, which the next flip exposes.
-    The run closes by undoing the entered flips in reverse order.  Words
-    after the last one of weight three or more go out after the undo, next
-    to the pulses that follow (the run's closing frames, or the next run).
-    A one-word run is the ladder of the paper's coupling order reduction:
-    flips (s1, s2), ..., (s_{w-2}, s_{w-1}), then the last pair's coupling.
+    The run closes by undoing the entered flips in reverse order.  Every
+    word enters the network, so words of weight one or two go out in the
+    first round, before any flip.  A one-word run is the ladder of the
+    paper's coupling order reduction: flips (s1, s2), ..., (s_{w-2},
+    s_{w-1}), then the last pair's coupling.
     """
 
     def emit(spins, angle):
@@ -134,13 +135,11 @@ def _synthesize(run, flips, z_rotation, ops: list[PulseOp]) -> float:
         else:
             ops.append(Coupling(spins[0], spins[1], angle))
 
-    heavy = [k for k, (spins, _) in enumerate(run) if len(spins) > 2]
-    if not heavy:
+    if all(len(spins) <= 2 for spins, _ in run):
         for spins, angle in run:
             emit(spins, angle)
         # No flips; -0.0 adds nothing to the ledger, not even a sign.
         return 0.0 if any(len(spins) == 2 for spins, _ in run) else -0.0
-    run, tail = run[: heavy[-1] + 1], run[heavy[-1] + 1 :]
     active = sorted({spin for spins, _ in run for spin in spins})
     column = {spin: k for k, spin in enumerate(active)}
     c = np.zeros((len(run), len(active)), dtype=np.int64)
@@ -185,8 +184,6 @@ def _synthesize(run, flips, z_rotation, ops: list[PulseOp]) -> float:
             enter(p, q)
     for after in reversed(undo):
         ops.extend(after)
-    for spins, angle in tail:
-        emit(spins, angle)
     return phase
 
 

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpulse import formats, gates, linalg, pauli, sim
+from spinpulse import formats, gates, linalg, pauli, reduction, sim
 from spinpulse.cli import build_parser, main, parse_angle
 from spinpulse.pauli import PauliString
 from spinpulse.pipeline import compile_unitary
+from spinpulse.pulse import PulseSequence
 
 import backend_oracle
 from conftest import haar_unitary
@@ -313,6 +314,35 @@ def test_verify_trace_orthogonal_mismatch_exits_3(capsys, tmp_path):
     code, stdout, _ = run(capsys, "verify", str(seq_path), "--matrix", str(path))
     assert code == 3
     assert stdout.splitlines()[0].startswith("residual")
+
+
+def test_compile_that_fails_verification_exits_3(capsys, monkeypatch):
+    # A reduction that loses its last pulse: the compile still claims exact,
+    # prints the sequence it made and reports the failed check.
+    emitted = []
+
+    def drop_last_pulse(plan, **kwargs):
+        seq = reduce_plan(plan, **kwargs)
+        emitted.append(PulseSequence(seq.num_spins, seq.ops[:-1], seq.global_phase))
+        return emitted[-1]
+
+    reduce_plan = reduction.reduce_plan
+    monkeypatch.setattr(reduction, "reduce_plan", drop_last_pulse)
+    code, stdout, stderr = run(capsys, "compile", "--gate", "cnot")
+    assert code == 3
+    assert "error: verification failed" in stderr
+    assert stdout == formats.format_sequence(emitted[0])
+
+
+@pytest.mark.parametrize("spins", ["0", "-1"])
+def test_spin_floor_exits_1(capsys, spins):
+    # 0 spins used to compile to a `spins 0` file that verify rejects, and
+    # -1 to end in a numpy traceback.
+    code, stdout, stderr = run(
+        capsys, "compile", "--gate", "fphase", "--num-spins", spins, "--marked", "0"
+    )
+    assert code == 1 and stdout == ""
+    assert "spin count must be positive" in stderr
 
 
 @pytest.mark.parametrize("command", ["compile", "expand"])

@@ -39,9 +39,9 @@ def test_commuting_toffoli_expansion():
     plan = decompose.plan(expansion)
     assert plan.exact and plan.strategy == "commuting"
     assert len(plan.ops) == 7  # identity term excluded
-    # Gray-code order of the z masks, ties in basis order.
+    # Basis order, the order of expansion.terms().
     words = [op.s for op in plan.ops]
-    assert words == sorted(sorted(words), key=lambda s: s.gray_rank)
+    assert words == sorted(words) == [word for word, _ in expansion.terms()]
 
 
 def test_commuting_single_term():

@@ -14,8 +14,12 @@ synthesized as one parity network (86 -> 74 pulses, 40 -> 34 couplings,
 were re-pinned at equal counts when each run of words that agree letter by
 letter began to open its frames once around one parity network, and an x/y
 rotation on one spin to go out ahead of a pending run it commutes with:
-only pulses on different spins changed places.  Kernel rewrites must keep
-every byte; a change that is meant to alter output updates these files and
+only pulses on different spins changed places.  cphase, cphase_9, fphase,
+phase_flip_5, toffoli and toffoli_6 were re-pinned at equal counts when
+commuting words went back to basis order and every word of a run began to
+enter its parity network (the light words go out before the first flip,
+not after the undo): only the order of pulses changed.  Kernel rewrites
+must keep every byte; a change that is meant to alter output updates these files and
 says why.
 
 The diagonal cases (cphase, fphase, phase_flip_5, cphase_9) never call

@@ -134,6 +134,9 @@ def test_num_spins_for_dim():
     assert linalg.num_spins_for_dim(8) == 3
     with pytest.raises(ValueError):
         linalg.num_spins_for_dim(6)
+    # 1 is 2**0: a register of no spins, which no sequence or matrix file holds.
+    with pytest.raises(ValueError, match="spin count must be positive"):
+        linalg.num_spins_for_dim(1)
 
 
 CEILING_CASES = {

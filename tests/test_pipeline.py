@@ -161,6 +161,41 @@ def test_x_frame_block_costs_its_z_twin(block, n):
     assert abs(angles[0] - angles[1]) < 1e-9
 
 
+def frame_conjugated_diagonals(frame, seed):
+    """R D R-dagger, eight each on 3, 4 and 5 spins: D with phases uniform
+    in (-pi, pi), R a product of one-spin frames, Haar or Clifford (a word
+    of four Hadamards and z quarter turns)."""
+    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    s = np.diag([1, 1j])
+    rng = np.random.default_rng(seed)
+    for n in (3, 4, 5) * 8:
+        r = np.ones((1, 1))
+        for _ in range(n):
+            if frame == "haar":
+                factor = haar_unitary(int(rng.integers(2**32)), 2)
+            else:
+                factor = np.linalg.multi_dot([(h, s)[k] for k in rng.integers(2, size=4)])
+            r = np.kron(r, factor)
+        yield (r * np.exp(-1j * rng.uniform(-np.pi, np.pi, 2**n))) @ r.conj().T
+
+
+# Pulses over each set of frame_conjugated_diagonals(frame, 123).  With
+# commuting words in Gray-code order of their z masks they took 1,672 (Haar
+# frames, the factorized route) and 1,112 (Clifford frames, the commuting
+# route); basis order lets the light words of a run out before its flips.
+_FRAME_PULSES = {"haar": 1624, "clifford": 1110}
+
+
+@pytest.mark.parametrize("frame", sorted(_FRAME_PULSES))
+def test_frame_conjugated_diagonals_stay_short(frame):
+    options = pipeline.CompileOptions(max_verify_spins=5)
+    total = sum(
+        len(assert_ledger_exact(u, options).sequence.ops)
+        for u in frame_conjugated_diagonals(frame, 123)
+    )
+    assert total <= _FRAME_PULSES[frame]
+
+
 def test_rejects_non_unitary():
     with pytest.raises(ValueError):
         pipeline.compile_unitary(np.diag([1.0, 2.0]).astype(complex))
